@@ -16,11 +16,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from collections import deque
+from itertools import islice
+from typing import Optional
 
 import numpy as np
 
-from .epsnet import NetConfig, StepPoint, _iter_pruned_levels, _iter_level_tuples, _leaf_passes
+from .epsnet import NetConfig, _level_tuples
 from .errors import InvalidConfigError, InvalidInputError
 from .frames import FrameMatrix
 
@@ -138,36 +140,13 @@ def _chunk_accumulate(phi: np.ndarray, psi_rows: np.ndarray, offset: int) -> Swe
     )
 
 
-def _net_psi_chunks(net, config: Optional[NetConfig]):
-    """Yield (psi_rows, first_rank) batches from a net source."""
-    if isinstance(net, NetConfig):
-        config = net
-        powers = config.level_powers
-        if config.pruned:
-            tuples = _iter_pruned_levels(config)
-        else:
-            tuples = _iter_level_tuples(config)
-        buf = []
-        offset = 0
-        for levels in tuples:
-            buf.append(levels)
-            if len(buf) == _CHUNK:
-                yield _tuples_to_psi(buf, powers), offset
-                offset += len(buf)
-                buf = []
-        if buf:
-            yield _tuples_to_psi(buf, powers), offset
-        return
-    buf = []
+def _net_psi_chunks(config: NetConfig):
+    """Yield (psi_rows, first_rank) batches of the net."""
+    tuples = _level_tuples(config)
     offset = 0
-    for step in net:
-        buf.append(step.psi)
-        if len(buf) == _CHUNK:
-            yield np.array(buf), offset
-            offset += len(buf)
-            buf = []
-    if buf:
-        yield np.array(buf), offset
+    while batch := list(islice(tuples, _CHUNK)):
+        yield _tuples_to_psi(batch, config.level_powers), offset
+        offset += len(batch)
 
 
 def _tuples_to_psi(level_tuples, powers: np.ndarray) -> np.ndarray:
@@ -184,13 +163,37 @@ def resolve_threads(threads: int) -> int:
         return threads
     env = os.environ.get("NERF_CERT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidConfigError(
+                f"NERF_CERT_THREADS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
+
+
+def _chunk_results(phi: np.ndarray, config: NetConfig, threads: int):
+    """Per-chunk accumulators in chunk order, computed inline for one
+    thread, else by a pool with at most 4*threads chunks in flight."""
+    if threads == 1:
+        for psi_rows, offset in _net_psi_chunks(config):
+            yield _chunk_accumulate(phi, psi_rows, offset)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = deque()
+        for psi_rows, offset in _net_psi_chunks(config):
+            window.append(pool.submit(_chunk_accumulate, phi, psi_rows, offset))
+            if len(window) >= 4 * threads:
+                yield window.popleft().result()
+        for fut in window:
+            yield fut.result()
 
 
 def sweep_all_K(
     frame: FrameMatrix,
-    net: Union[NetConfig, Iterable[StepPoint]],
+    config: NetConfig,
     threads: int = 1,
     progress: bool = False,
 ) -> BoundsTable:
@@ -200,66 +203,42 @@ def sweep_all_K(
     invariant (see frames.verify_group_invariance); only then do sector
     net points certify anything about the whole sphere.  Results are
     independent of chunking and thread count: per-point sums are computed
-    identically everywhere and merged by pure min/max.
+    identically everywhere and merged by pure min/max.  With ``progress``
+    a line goes to stderr about every 100k points, at any thread count.
     """
     threads = resolve_threads(threads)
-    phi = frame.matrix
     acc = SweepAccumulator.empty(frame.N)
-    config = net if isinstance(net, NetConfig) else None
-
-    chunks = _net_psi_chunks(net, config)
-    if threads == 1:
-        for psi_rows, offset in chunks:
-            acc = acc.merge(_chunk_accumulate(phi, psi_rows, offset))
-            if progress and acc.points_processed % 100_000 < _CHUNK:
-                print(
-                    f"  swept {acc.points_processed} net points", file=sys.stderr
-                )
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = []
-            for psi_rows, offset in chunks:
-                futures.append(
-                    pool.submit(_chunk_accumulate, phi, psi_rows, offset)
-                )
-                if len(futures) >= 4 * threads:
-                    acc = acc.merge(futures.pop(0).result())
-            for fut in futures:
-                acc = acc.merge(fut.result())
+    for part in _chunk_results(frame.matrix, config, threads):
+        acc = acc.merge(part)
+        if progress and acc.points_processed % 100_000 < _CHUNK:
+            print(f"  swept {acc.points_processed} net points", file=sys.stderr)
 
     if acc.points_processed == 0:
         raise InvalidInputError("net is empty; nothing to sweep")
     return BoundsTable(
         M=frame.M,
         N=frame.N,
-        epsilon_sq=config.epsilon_sq if config else math.nan,
+        epsilon_sq=config.epsilon_sq,
         alpha_eps=acc.alpha,
         beta_eps=acc.beta,
         argmin_r=acc.argmin,
         argmax_r=acc.argmax,
         net_points_used=acc.points_processed,
-        L=config.L if config else None,
-        delta=config.delta if config else None,
+        L=config.L,
+        delta=config.delta,
     )
 
 
-def certify(
-    table: BoundsTable,
-    use_untf_cap: bool = True,
-    cap_mode: Optional[str] = None,
-) -> BoundsTable:
+def certify(table: BoundsTable, cap_mode: str = "combined") -> BoundsTable:
     """Fill the certified interval endpoints alpha_lower / beta_upper.
 
     cap_mode selects the upper-bound cap fed into the lower certificate:
 
     * ``"combined"`` -- min(N/M, beta_eps/(1-eps^2)); the sharpest valid
-      cap for unit norm tight frames (default, use_untf_cap=True).
+      cap for unit norm tight frames (default).
     * ``"untf"`` -- N/M alone; this is the construction behind the
       published reference tables, weaker than "combined" at small K.
-    * ``"general"`` -- beta_eps/(1-eps^2); no tightness assumed
-      (use_untf_cap=False).
+    * ``"general"`` -- beta_eps/(1-eps^2); no tightness assumed.
 
     alpha_lower[K] = (alpha_eps[K] - eps^2 * cap[K]) / (1 - eps^2); values
     may be negative, meaning no lower certificate at that K.
@@ -268,8 +247,6 @@ def certify(
         raise InvalidConfigError(
             f"epsilon_sq must lie in (0,1), got {table.epsilon_sq}"
         )
-    if cap_mode is None:
-        cap_mode = "combined" if use_untf_cap else "general"
     if cap_mode not in CAP_MODES:
         raise InvalidConfigError(f"unknown cap_mode {cap_mode!r}")
     eps_sq = table.epsilon_sq

@@ -13,7 +13,7 @@ necessary pruning conditions that every rounded-up quantization obeys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from math import fsum
 from typing import Iterator, Optional, Sequence
@@ -204,46 +204,58 @@ def prune_check(step: StepPoint, config: NetConfig) -> bool:
     above the bottom level <= 1.  Comparisons use exactly rounded sums
     with no tolerance slack; boundary points are kept.
     """
-    sq = config.level_powers**2
-    bottom = config.L - 1
-    norm_sq = fsum(sq[l] for l in step.exponents)
-    top_sq = fsum(sq[l] for l in step.exponents if l < bottom)
+    sq = (config.level_powers**2).tolist()
     dsq = config.delta * config.delta
-    return norm_sq >= 1.0 and dsq * top_sq <= 1.0
+    return _leaf_passes(step.exponents, sq, config.L - 1, dsq)
 
 
 def _leaf_passes(levels, sq, bottom, dsq) -> bool:
-    """Canonical prune test for one ascending level tuple."""
+    """Canonical prune test for one level tuple (any order)."""
     norm_sq = fsum(sq[l] for l in levels)
     top_sq = fsum(sq[l] for l in levels if l < bottom)
     return norm_sq >= 1.0 and dsq * top_sq <= 1.0
 
 
-def _iter_pruned_levels(config: NetConfig) -> Iterator[tuple]:
-    """Yield ascending level tuples passing the prune conditions.
+def _net_blocks(config: NetConfig) -> Iterator[tuple]:
+    """Yield blocks (prefix, lmin, t) covering the net in lexicographic order.
 
-    Depth-first over nondecreasing level tuples in lexicographic order,
-    cutting subtrees that cannot satisfy either condition: the norm bound
-    can only fail harder once the running top-level mass exceeds its cap,
-    and a subtree dies when even placing all remaining entries at the
-    current level cannot reach unit mass.
+    A block stands for every ascending level tuple ``prefix + tail`` with
+    ``tail`` in combinations_with_replacement(range(lmin, L), t).  Without
+    pruning the whole net is the root block.  With pruning the walk is a
+    depth-first branch-and-bound over nondecreasing level tuples: a subtree
+    dies once its top-level mass exceeds the cap, or once even placing all
+    remaining entries at the current level cannot reach unit mass; a
+    subtree that passes both conditions wholesale is emitted as one block.
+    Leaves (t = 0) near either boundary are re-checked with exactly rounded
+    sums.
     """
     M, L = config.M, config.L
+    if not config.pruned:
+        yield (), 0, M
+        return
     sq = (config.level_powers**2).tolist()
     bottom = L - 1
     dsq = config.delta * config.delta
     top_cap = 1.0 / dsq
+    bot_sq = sq[bottom]
 
     def rec(lmin: int, t: int, s: float, top: float, prefix: tuple):
         if t == 0:
             near = abs(s - 1.0) <= _BB_MARGIN or abs(dsq * top - 1.0) <= _BB_MARGIN
             if near:
                 if _leaf_passes(prefix, sq, bottom, dsq):
-                    yield prefix
+                    yield prefix, lmin, 0
             elif s >= 1.0 and dsq * top <= 1.0:
-                yield prefix
+                yield prefix, lmin, 0
             return
         if top > top_cap + _BB_MARGIN:
+            return
+        # Whole-subtree pass: minimum reachable mass already >= 1 and the
+        # worst-case top mass still under the cap.
+        s_min = s + t * bot_sq
+        top_max = top + (t * sq[lmin] if lmin < bottom else 0.0)
+        if s_min >= 1.0 + _BB_MARGIN and top_max <= top_cap - _BB_MARGIN:
+            yield prefix, lmin, t
             return
         for l in range(lmin, L):
             if s + t * sq[l] < 1.0 - _BB_MARGIN:
@@ -254,116 +266,36 @@ def _iter_pruned_levels(config: NetConfig) -> Iterator[tuple]:
     yield from rec(0, M, 0.0, 0.0, ())
 
 
+def _level_tuples(config: NetConfig) -> Iterator[tuple]:
+    """Ascending level tuples of the net, expanding each block in C."""
+    for prefix, lmin, t in _net_blocks(config):
+        if t == 0:
+            yield prefix  # most blocks of fine nets are single leaves
+        else:
+            tails = combinations_with_replacement(range(lmin, config.L), t)
+            yield from map(prefix.__add__, tails)
+
+
 def pruned_cardinality(config: NetConfig) -> int:
     """Exact number of net points passing :func:`prune_check`.
 
-    Same search tree as :func:`_iter_pruned_levels` but with a closed-form
-    count for subtrees that pass both conditions wholesale, so the big
-    nets never enumerate their interior.
+    Counts the blocks of the pruned walk in closed form, so the big nets
+    never enumerate their interior.
     """
-    M, L = config.M, config.L
-    sq = (config.level_powers**2).tolist()
-    bottom = L - 1
-    dsq = config.delta * config.delta
-    top_cap = 1.0 / dsq
-    bot_sq = sq[bottom]
-
-    def rec(lmin: int, t: int, s: float, top: float, prefix: tuple) -> int:
-        if t == 0:
-            near = abs(s - 1.0) <= _BB_MARGIN or abs(dsq * top - 1.0) <= _BB_MARGIN
-            if near:
-                return 1 if _leaf_passes(prefix, sq, bottom, dsq) else 0
-            return 1 if (s >= 1.0 and dsq * top <= 1.0) else 0
-        if top > top_cap + _BB_MARGIN:
-            return 0
-        # Whole-subtree pass: minimum reachable mass already >= 1 and the
-        # worst-case top mass still under the cap.
-        s_min = s + t * bot_sq
-        top_max = top + (t * sq[lmin] if lmin < bottom else 0.0)
-        if s_min >= 1.0 + _BB_MARGIN and top_max <= top_cap - _BB_MARGIN:
-            return math.comb(L - lmin + t - 1, t)
-        total = 0
-        for l in range(lmin, L):
-            if s + t * sq[l] < 1.0 - _BB_MARGIN:
-                break
-            add_top = sq[l] if l < bottom else 0.0
-            total += rec(l, t - 1, s + sq[l], top + add_top, prefix + (l,))
-        return total
-
-    return rec(0, M, 0.0, 0.0, ())
+    return sum(
+        math.comb(config.L - lmin + t - 1, t)
+        for _, lmin, t in _net_blocks(replace(config, pruned=True))
+    )
 
 
-def _unrank_levels(index: int, M: int, L: int) -> tuple:
-    """Ascending level tuple at a given lexicographic rank."""
-    if not 0 <= index < net_cardinality(M, L):
-        raise InvalidInputError(f"rank {index} out of range")
-    levels = []
-    lmin = 0
-    for t in range(M, 0, -1):
-        for l in range(lmin, L):
-            block = math.comb(L - l + t - 2, t - 1)
-            if index < block:
-                levels.append(l)
-                lmin = l
-                break
-            index -= block
-    return tuple(levels)
-
-
-def _iter_level_tuples(
-    config: NetConfig, start: int = 0, stop: Optional[int] = None
-) -> Iterator[tuple]:
-    """Ascending level tuples for composition ranks [start, stop)."""
-    total = config.cardinality
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise InvalidInputError(f"bad rank range [{start}, {stop})")
-    if start == stop:
-        return
-    if start == 0 and stop == total:
-        yield from combinations_with_replacement(range(config.L), config.M)
-        return
-    first = _unrank_levels(start, config.M, config.L)
-    count = stop - start
-    # Resume a combinations_with_replacement scan from the unranked tuple.
-    current = list(first)
-    M, L = config.M, config.L
-    while count:
-        yield tuple(current)
-        count -= 1
-        if not count:
-            break
-        # lexicographic successor of a nondecreasing tuple
-        i = M - 1
-        while current[i] == L - 1:
-            i -= 1
-        current[i:] = [current[i] + 1] * (M - i)
-
-
-def enumerate_net(
-    config: NetConfig, start: int = 0, stop: Optional[int] = None
-) -> Iterator[StepPoint]:
+def enumerate_net(config: NetConfig) -> Iterator[StepPoint]:
     """Stream the net points in a fixed deterministic order.
 
-    Compositions are visited in lexicographic order of the ascending
-    level-exponent tuple; ``start``/``stop`` select a contiguous rank
-    range of the unpruned composition space, so disjoint ranges can be
-    consumed independently.  With ``config.pruned`` only points passing
-    :func:`prune_check` are yielded (full-range calls use a pruned search
-    that skips dead subtrees outright).
+    Points are visited in lexicographic order of the ascending
+    level-exponent tuple.  With ``config.pruned`` only points passing
+    :func:`prune_check` are yielded.
     """
-    full_range = start == 0 and stop is None
-    if config.pruned and full_range:
-        for levels in _iter_pruned_levels(config):
-            yield StepPoint.from_ascending_levels(levels, config)
-        return
-    sq = (config.level_powers**2).tolist()
-    bottom = config.L - 1
-    dsq = config.delta * config.delta
-    for levels in _iter_level_tuples(config, start, stop):
-        if config.pruned and not _leaf_passes(levels, sq, bottom, dsq):
-            continue
+    for levels in _level_tuples(config):
         yield StepPoint.from_ascending_levels(levels, config)
 
 

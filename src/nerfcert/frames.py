@@ -88,6 +88,8 @@ class FrameMatrix:
         self.matrix = np.asarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.size == 0:
             raise InvalidInputError("frame must be a nonempty 2-D array")
+        if not np.all(np.isfinite(self.matrix)):
+            raise InvalidInputError("frame has non-finite entries")
 
     @property
     def M(self) -> int:

@@ -80,20 +80,11 @@ class TestSweep:
         assert np.array_equal(one.argmin_r, many.argmin_r)
         assert np.array_equal(one.argmax_r, many.argmax_r)
 
-    def test_explicit_point_iterable_matches_config(self, frame_4_12):
-        config = NetConfig.create(4, 0.5)
-        from_config = sweep_all_K(frame_4_12, config)
-        from_points = sweep_all_K(frame_4_12, enumerate_net(config))
-        assert np.allclose(
-            from_config.alpha_eps, from_points.alpha_eps, atol=1e-15
-        )
-        assert np.allclose(
-            from_config.beta_eps, from_points.beta_eps, atol=1e-15
-        )
-
-    def test_empty_net_rejected(self, frame_4_12):
-        with pytest.raises(InvalidInputError):
-            sweep_all_K(frame_4_12, iter(()))
+    def test_progress_reported_with_threads(self, frame_4_12, capsys):
+        config = NetConfig.create(4, 0.25)
+        sweep_all_K(frame_4_12, config, threads=2, progress=True)
+        err = capsys.readouterr().err
+        assert "swept 1106 net points" in err
 
     def test_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
         config = NetConfig.create(4, 0.5)
@@ -164,12 +155,9 @@ class TestCertify:
         with pytest.raises(InvalidConfigError):
             certify(table_4_12, cap_mode="bogus")
 
-    def test_legacy_flag_maps_to_modes(self, frame_4_12):
-        config = NetConfig.create(4, 0.5)
-        a = certify(sweep_all_K(frame_4_12, config), use_untf_cap=False)
-        assert a.cap_mode == "general"
-        b = certify(sweep_all_K(frame_4_12, config), use_untf_cap=True)
-        assert b.cap_mode == "combined"
+    def test_default_mode_is_combined(self, frame_4_12):
+        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
+        assert certify(table).cap_mode == "combined"
 
 
 class TestDerivedQuantities:
@@ -215,6 +203,11 @@ class TestThreads:
     def test_negative_rejected(self):
         with pytest.raises(InvalidConfigError):
             resolve_threads(-1)
+
+    def test_non_integer_env_var_rejected(self, monkeypatch):
+        monkeypatch.setenv("NERF_CERT_THREADS", "abc")
+        with pytest.raises(InvalidConfigError):
+            resolve_threads(0)
 
 
 class TestCsv:

@@ -117,6 +117,32 @@ class TestEstimate:
         )
         assert code == EXIT_USAGE_IO
 
+    def test_bad_thread_env_var(self, frame_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NERF_CERT_THREADS", "abc")
+        code = main(
+            [
+                "estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                "-o", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_non_finite_frame_rejected(self, frame_file, tmp_path, capsys):
+        lines = frame_file.read_text().splitlines()
+        lines[1] = " ".join(["nan"] * 4)
+        frame_file.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                "-o", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE_IO
+        assert "non-finite" in capsys.readouterr().err
+
     def test_unreadable_frame(self, tmp_path):
         code = main(
             [

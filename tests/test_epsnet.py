@@ -19,7 +19,7 @@ from nerfcert import (
     verify_covering,
     volumetric_bound,
 )
-from nerfcert.epsnet import volumetric_bound_log
+from nerfcert.epsnet import _net_blocks, volumetric_bound_log
 from nerfcert.errors import InvalidInputError
 
 
@@ -103,31 +103,22 @@ class TestCardinality:
             assert len(points) == pruned_cardinality(config)
 
     def test_pruned_enumeration_agrees_with_filter(self):
-        # The branch-and-bound walk must keep exactly the points the
-        # direct per-point test keeps.
-        config = NetConfig.create(4, 0.25)
-        direct = [
-            p
-            for p in enumerate_net(
-                NetConfig.create(4, 0.25, pruned=False)
-            )
-            if prune_check(p, config)
-        ]
-        walked = list(enumerate_net(config))
-        assert len(walked) == len(direct)
-        for a, b in zip(walked, direct):
-            assert a.exponents == b.exponents
-
-    def test_range_split(self):
-        config = NetConfig.create(4, 0.5, pruned=False)
-        whole = [p.exponents for p in enumerate_net(config)]
-        parts = []
-        for lo in range(0, config.cardinality, 17):
-            hi = min(lo + 17, config.cardinality)
-            parts.extend(
-                p.exponents for p in enumerate_net(config, lo, hi)
-            )
-        assert parts == whole
+        # The branch-and-bound walk, expanding whole blocks at once, must
+        # keep exactly the points the direct per-point test keeps.
+        for M, eps_sq in ((4, 0.25), (3, 0.1), (5, 0.25), (5, 0.5)):
+            config = NetConfig.create(M, eps_sq)
+            direct = [
+                p
+                for p in enumerate_net(
+                    NetConfig.create(M, eps_sq, pruned=False)
+                )
+                if prune_check(p, config)
+            ]
+            walked = list(enumerate_net(config))
+            assert len(walked) == len(direct)
+            for a, b in zip(walked, direct):
+                assert a.exponents == b.exponents
+            assert any(t > 0 for _, _, t in _net_blocks(config))
 
 
 class TestStepPoint:
