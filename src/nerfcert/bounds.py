@@ -26,7 +26,9 @@ from .epsnet import NetConfig, _level_tuples
 from .errors import InvalidConfigError, InvalidInputError
 from .frames import FrameMatrix
 
-_CHUNK = 4096  # points per batch; fixed so results never depend on threads
+_CHUNK_BYTES = 16 * 2**20  # per rows x N float64 temporary; see chunk_rows
+_NO_RANK = np.iinfo(np.int64).max  # rank of a column a chunk did not improve
+_PROGRESS_EVERY = 100_000  # net points between progress lines
 
 CAP_MODES = ("combined", "untf", "general")
 
@@ -121,30 +123,63 @@ def sorted_squared_correlations(
     return vals
 
 
-def _chunk_accumulate(phi: np.ndarray, psi_rows: np.ndarray, offset: int) -> SweepAccumulator:
-    """Prefix/suffix extrema over one batch of unit-norm net points."""
-    c2 = (psi_rows @ phi) ** 2
-    c2.sort(axis=1)
-    prefix = np.cumsum(c2, axis=1)
-    suffix = np.cumsum(c2[:, ::-1], axis=1)
-    amin = prefix.argmin(axis=0)
-    amax = suffix.argmax(axis=0)
+def chunk_rows(N: int) -> int:
+    """Net points per batch: about _CHUNK_BYTES per rows x N float64
+    temporary, clamped to [64, 4096].  A function of N alone, so results
+    never depend on the thread count."""
+    return max(64, min(4096, _CHUNK_BYTES // (8 * N)))
+
+
+def _chunk_accumulate(
+    phi: np.ndarray,
+    psi_rows: np.ndarray,
+    offset: int,
+    running: SweepAccumulator,
+) -> SweepAccumulator:
+    """Prefix/suffix extrema over one batch of unit-norm net points.
+
+    Witness ranks are searched only in columns that beat ``running``, the
+    extrema of chunks of lower rank merged so far; other columns get
+    _NO_RANK.  Such a column already has an attaining point of lower rank
+    and _NO_RANK never wins a tie in merge, so merged witnesses stay the
+    first attaining ranks whatever ``running`` lags behind.
+    """
     n = phi.shape[1]
-    cols = np.arange(n)
+    prefix = psi_rows @ phi
+    np.square(prefix, out=prefix)
+    prefix.sort(axis=1)
+    np.cumsum(prefix, axis=1, out=prefix)
+    alpha = prefix.min(axis=0)
+    argmin = np.full(n, _NO_RANK, dtype=np.int64)
+    idx = np.flatnonzero(alpha < running.alpha)
+    argmin[idx] = prefix[:, idx].argmin(axis=0) + offset
+
+    # Overwrite prefix with drop[:, j] = row total - prefix[:, j], the
+    # sum of the n-1-j largest, so beta[K-1] = max of drop[:, n-1-K].
+    total = prefix[:, -1].copy()
+    drop = np.subtract(total[:, None], prefix, out=prefix)
+    beta = np.empty(n)
+    beta[:-1] = drop.max(axis=0)[-2::-1]
+    beta[-1] = total.max()
+    argmax = np.full(n, _NO_RANK, dtype=np.int64)
+    idx = np.flatnonzero(beta[:-1] > running.beta[:-1])
+    argmax[idx] = drop[:, n - 2 - idx].argmax(axis=0) + offset
+    if beta[-1] > running.beta[-1]:
+        argmax[-1] = total.argmax() + offset
     return SweepAccumulator(
-        alpha=prefix[amin, cols],
-        beta=suffix[amax, cols],
-        argmin=amin.astype(np.int64) + offset,
-        argmax=amax.astype(np.int64) + offset,
+        alpha=alpha,
+        beta=beta,
+        argmin=argmin,
+        argmax=argmax,
         points_processed=psi_rows.shape[0],
     )
 
 
-def _net_psi_chunks(config: NetConfig):
+def _net_psi_chunks(config: NetConfig, rows: int):
     """Yield (psi_rows, first_rank) batches of the net."""
     tuples = _level_tuples(config)
     offset = 0
-    while batch := list(islice(tuples, _CHUNK)):
+    while batch := list(islice(tuples, rows)):
         yield _tuples_to_psi(batch, config.level_powers), offset
         offset += len(batch)
 
@@ -172,19 +207,26 @@ def resolve_threads(threads: int) -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_results(phi: np.ndarray, config: NetConfig, threads: int):
+def _chunk_results(phi: np.ndarray, config: NetConfig, threads: int, running):
     """Per-chunk accumulators in chunk order, computed inline for one
-    thread, else by a pool with at most 4*threads chunks in flight."""
+    thread, else by a pool with at most 4*threads chunks in flight.
+
+    ``running()`` gives the accumulator merged so far; each chunk gets the
+    one current when it is computed (inline) or submitted (pool).
+    """
+    rows = chunk_rows(phi.shape[1])
     if threads == 1:
-        for psi_rows, offset in _net_psi_chunks(config):
-            yield _chunk_accumulate(phi, psi_rows, offset)
+        for psi_rows, offset in _net_psi_chunks(config, rows):
+            yield _chunk_accumulate(phi, psi_rows, offset, running())
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         window = deque()
-        for psi_rows, offset in _net_psi_chunks(config):
-            window.append(pool.submit(_chunk_accumulate, phi, psi_rows, offset))
+        for psi_rows, offset in _net_psi_chunks(config, rows):
+            window.append(
+                pool.submit(_chunk_accumulate, phi, psi_rows, offset, running())
+            )
             if len(window) >= 4 * threads:
                 yield window.popleft().result()
         for fut in window:
@@ -204,17 +246,26 @@ def sweep_all_K(
     net points certify anything about the whole sphere.  Results are
     independent of chunking and thread count: per-point sums are computed
     identically everywhere and merged by pure min/max.  With ``progress``
-    a line goes to stderr about every 100k points, at any thread count.
+    a line goes to stderr each time the count passes a multiple of
+    _PROGRESS_EVERY, and one final line gives the total, at any thread
+    count.
     """
     threads = resolve_threads(threads)
     acc = SweepAccumulator.empty(frame.N)
-    for part in _chunk_results(frame.matrix, config, threads):
+    shown = 0
+    for part in _chunk_results(frame.matrix, config, threads, lambda: acc):
         acc = acc.merge(part)
-        if progress and acc.points_processed % 100_000 < _CHUNK:
-            print(f"  swept {acc.points_processed} net points", file=sys.stderr)
+        done = acc.points_processed
+        if progress and done // _PROGRESS_EVERY > shown // _PROGRESS_EVERY:
+            shown = done
+            print(f"  swept {done} net points", file=sys.stderr)
+    if progress and shown != acc.points_processed:
+        print(f"  swept {acc.points_processed} net points", file=sys.stderr)
 
     if acc.points_processed == 0:
         raise InvalidInputError("net is empty; nothing to sweep")
+    if np.any(acc.argmin == _NO_RANK) or np.any(acc.argmax == _NO_RANK):
+        raise InvalidInputError("sweep left a bound without a witness point")
     return BoundsTable(
         M=frame.M,
         N=frame.N,

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     certify,
+    chunk_rows,
     condition_number_bound,
     min_spanning_K,
     read_bounds_csv,
@@ -157,6 +158,7 @@ def _cmd_estimate(args) -> int:
     if cond is not None:
         print(f"condition_number_bound[{k_span}]={cond:.4f}")
     if args.report:
+        sweep_s = t2 - t1
         payload = {
             "tool_version": __version__,
             "status": "ok",
@@ -178,11 +180,17 @@ def _cmd_estimate(args) -> int:
                 "points_skipped": None
                 if args.no_prune
                 else config.cardinality - table.net_points_used,
+                "chunk_rows": chunk_rows(frame.N),
             },
             "timings_s": {
                 "setup": t1 - t0,
-                "sweep": t2 - t1,
+                "sweep": sweep_s,
                 "certify": t3 - t2,
+            },
+            "rates": {
+                "sweep_points_per_s": table.net_points_used / sweep_s
+                if sweep_s > 0
+                else None,
             },
             "results": {
                 "min_spanning_K": k_span,

@@ -1,6 +1,7 @@
 """Net sweep, certification algebra, and the bounds CSV format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nerfcert import (
     GeneratorSpec,
     NetConfig,
+    bounds,
     certify,
     condition_number_bound,
     enumerate_net,
@@ -19,11 +21,17 @@ from nerfcert import (
 )
 from nerfcert.bounds import (
     SweepAccumulator,
+    chunk_rows,
     read_bounds_csv,
     resolve_threads,
     write_bounds_csv,
 )
 from nerfcert.errors import InvalidConfigError, InvalidInputError
+
+
+def swept_counts(err):
+    """Point counts printed by the progress lines, in order."""
+    return [int(m) for m in re.findall(r"swept (\d+) net points", err)]
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +93,78 @@ class TestSweep:
         sweep_all_K(frame_4_12, config, threads=2, progress=True)
         err = capsys.readouterr().err
         assert "swept 1106 net points" in err
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_progress_lines_independent_of_chunk_rows(
+        self, frame_4_12, monkeypatch, capsys, threads
+    ):
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 100)
+        monkeypatch.setattr(bounds, "_PROGRESS_EVERY", 250)
+        table = sweep_all_K(
+            frame_4_12, NetConfig.create(4, 0.25), threads=threads,
+            progress=True,
+        )
+        # One line per chunk that passes a multiple of 250, then the total.
+        assert swept_counts(capsys.readouterr().err) == [
+            300, 500, 800, 1000, 1106,
+        ]
+        assert table.net_points_used == 1106
+
+    def test_progress_total_printed_once(self, frame_4_12, monkeypatch, capsys):
+        # 1106 = 2 * 553 points in chunks of 7: the last chunk lands on a
+        # multiple, and the total is still printed once.
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        monkeypatch.setattr(bounds, "_PROGRESS_EVERY", 553)
+        sweep_all_K(frame_4_12, NetConfig.create(4, 0.25), progress=True)
+        assert swept_counts(capsys.readouterr().err) == [553, 1106]
+
+    def test_many_chunks_match_one_pass(self, frame_4_12, monkeypatch):
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        config = NetConfig.create(4, 0.25)
+        one = sweep_all_K(frame_4_12, config, threads=1)
+        many = sweep_all_K(frame_4_12, config, threads=3)
+        for name in ("alpha_eps", "beta_eps", "argmin_r", "argmax_r"):
+            assert np.array_equal(getattr(one, name), getattr(many, name))
+        for table in (one, many):
+            assert not np.any(table.argmin_r == bounds._NO_RANK)
+            assert not np.any(table.argmax_r == bounds._NO_RANK)
+        # The same per-point sums for all 1106 points in one array: the
+        # chunked sweep must give their extrema and first attaining ranks.
+        c2 = np.vstack([
+            rows @ frame_4_12.matrix
+            for rows, _ in bounds._net_psi_chunks(config, 7)
+        ]) ** 2
+        prefix = np.cumsum(np.sort(c2, axis=1), axis=1)
+        drop = prefix[:, -1:] - prefix  # column j: sum of the 11-j largest
+        largest = np.hstack([drop[:, -2::-1], prefix[:, -1:]])  # K-1: K largest
+        assert np.array_equal(one.alpha_eps, prefix.min(axis=0))
+        assert np.array_equal(one.argmin_r, prefix.argmin(axis=0))
+        assert np.array_equal(one.beta_eps, largest.max(axis=0))
+        assert np.array_equal(one.argmax_r, largest.argmax(axis=0))
+
+    def test_missing_witness_rejected(self, frame_4_12, monkeypatch):
+        kernel = bounds._chunk_accumulate
+
+        def lose_witnesses(*args):
+            part = kernel(*args)
+            part.argmax[:] = bounds._NO_RANK
+            return part
+
+        monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
+        with pytest.raises(InvalidInputError):
+            sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
+
+    def test_beta_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
+        config = NetConfig.create(4, 0.5)
+        points = list(enumerate_net(config))
+        for k in (1, 6, 9, 12):
+            r = int(table_4_12.argmax_r[k - 1])
+            vals = sorted_squared_correlations(frame_4_12, points[r].psi)
+            assert math.isclose(
+                float(np.sum(vals[-k:])),
+                float(table_4_12.beta_eps[k - 1]),
+                rel_tol=1e-12,
+            )
 
     def test_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
         config = NetConfig.create(4, 0.5)
@@ -190,6 +270,21 @@ class TestDerivedQuantities:
         )
         with pytest.raises(InvalidInputError):
             min_spanning_K(fresh)
+
+
+class TestChunkRows:
+    @pytest.mark.parametrize("n", [12, 560, 4032, 10**6])
+    def test_bounded_by_budget(self, n):
+        rows = chunk_rows(n)
+        assert isinstance(rows, int)
+        assert 64 <= rows <= 4096
+        if rows > 64:
+            assert rows * n * 8 <= bounds._CHUNK_BYTES
+        assert chunk_rows(n) == rows
+
+    def test_reference_sizes(self):
+        assert chunk_rows(560) == 3744
+        assert chunk_rows(4032) == 520
 
 
 class TestThreads:

@@ -86,6 +86,11 @@ class TestEstimate:
         assert payload["config"]["M"] == 4
         assert payload["results"]["min_spanning_K"] == 10
         assert payload["timings_s"]["sweep"] >= 0
+        assert payload["counts"]["chunk_rows"] == 4096
+        rate = payload["rates"]["sweep_points_per_s"]
+        assert rate == pytest.approx(
+            payload["counts"]["net_points_used"] / payload["timings_s"]["sweep"]
+        )
 
     def test_generator_shortcut(self, tmp_path):
         csv = tmp_path / "bounds.csv"
