@@ -1,4 +1,4 @@
-"""Certify the 4032-vector frame in R^10 (about ten minutes, projected).
+"""Certify the 4032-vector frame in R^10 (several minutes, projected).
 
 This is the largest documented reproduction and is deliberately not part
 of the test suite.  The frame is the signed-permutation orbit of the
@@ -10,10 +10,12 @@ frame for R^10.  For scale, the number of such subsets is C(4032,2883),
 on the order of 10^1044, so exhaustive checking is out of the question.
 
 Run:  python demos/reproduce_m10_slow.py
-The runtime is a projection, not a timed full run: the same frame at
-eps^2 = 0.45 (12614 points) sweeps at about 9800 net points/s on one
-thread and 14900 on two, on a 2-vCPU VM with one BLAS thread, which puts
-the 5868677 points here at about 10 minutes on one thread and 7 on two.
+The runtime is a projection, not a timed full run.  `nerf-cert estimate
+--report` on the same frame at eps^2 = 0.45 (12614 points) gives
+rates.sweep_points_per_s of about 15100 on one thread and 20900 on two,
+on a 2-vCPU VM with one BLAS thread.  At those rates the 5868677 points
+here take about 6.5 minutes on one thread and 4.7 on two; walking the
+net itself adds under two seconds.
 Progress is printed every hundred thousand net points.  Thread count
 comes from NERF_CERT_THREADS or the CPU count.
 """

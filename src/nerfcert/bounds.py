@@ -17,16 +17,16 @@ import os
 import sys
 from dataclasses import dataclass, field
 from collections import deque
-from itertools import islice
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .epsnet import NetConfig, _level_tuples
-from .errors import InvalidConfigError, InvalidInputError
+from .epsnet import NetConfig, _level_arrays
+from .errors import InvalidConfigError, InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
-_CHUNK_BYTES = 16 * 2**20  # per rows x N float64 temporary; see chunk_rows
+_CHUNK_BYTES = 4 * 2**20  # per rows x N float64 temporary; see chunk_rows
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column a chunk did not improve
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
@@ -176,18 +176,17 @@ def _chunk_accumulate(
 
 
 def _net_psi_chunks(config: NetConfig, rows: int):
-    """Yield (psi_rows, first_rank) batches of the net."""
-    tuples = _level_tuples(config)
-    offset = 0
-    while batch := list(islice(tuples, rows)):
-        yield _tuples_to_psi(batch, config.level_powers), offset
-        offset += len(batch)
-
-
-def _tuples_to_psi(level_tuples, powers: np.ndarray) -> np.ndarray:
-    psi_hat = powers[np.array(level_tuples)]
-    psi_hat /= np.linalg.norm(psi_hat, axis=1, keepdims=True)
-    return psi_hat
+    """Yield (psi_rows, first_rank) batches of at most ``rows`` points."""
+    levels, offset = np.empty((0, config.M), dtype=np.int16), 0
+    for block in chain(_level_arrays(config), [None]):
+        if block is not None:
+            levels = np.concatenate([levels, block])
+        end = len(levels) if block is None else len(levels) // rows * rows
+        for start in range(0, end, rows):
+            psi_hat = config.level_powers[levels[start : start + rows]]
+            psi_hat /= np.linalg.norm(psi_hat, axis=1, keepdims=True)
+            yield psi_hat, offset + start
+        levels, offset = levels[end:], offset + end
 
 
 def resolve_threads(threads: int) -> int:
@@ -263,9 +262,9 @@ def sweep_all_K(
         print(f"  swept {acc.points_processed} net points", file=sys.stderr)
 
     if acc.points_processed == 0:
-        raise InvalidInputError("net is empty; nothing to sweep")
+        raise InvariantViolationError("net is empty; nothing to sweep")
     if np.any(acc.argmin == _NO_RANK) or np.any(acc.argmax == _NO_RANK):
-        raise InvalidInputError("sweep left a bound without a witness point")
+        raise InvariantViolationError("sweep left a bound with no witness")
     return BoundsTable(
         M=frame.M,
         N=frame.N,

@@ -32,7 +32,7 @@ from .epsnet import (
     pruned_cardinality,
     volumetric_bound_log,
 )
-from .errors import NerfCertError, OracleInfeasibleError
+from .errors import InvariantViolationError, NerfCertError, OracleInfeasibleError
 from .frames import (
     GeneratorSpec,
     orbit_signed_permutations,
@@ -286,11 +286,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except OracleInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except (NerfCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OracleInfeasibleError):
+            return EXIT_INFEASIBLE
+        if isinstance(exc, InvariantViolationError):
+            return EXIT_INVARIANT
         return EXIT_USAGE_IO
 
 

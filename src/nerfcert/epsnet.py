@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
 from math import fsum
 from typing import Iterator, Optional, Sequence
 
@@ -31,6 +30,7 @@ LEVEL_SEARCH_CAP = 10**6
 # Conservative slack for branch-and-bound cuts; boundary-adjacent leaves
 # are re-evaluated with exactly rounded sums (math.fsum).
 _BB_MARGIN = 1e-12
+_SLICE_NODES = 2**14  # children per frontier slice; bounds the walk's memory
 
 __all__ = [
     "NetConfig",
@@ -216,76 +216,71 @@ def _leaf_passes(levels, sq, bottom, dsq) -> bool:
     return norm_sq >= 1.0 and dsq * top_sq <= 1.0
 
 
-def _net_blocks(config: NetConfig) -> Iterator[tuple]:
-    """Yield blocks (prefix, lmin, t) covering the net in lexicographic order.
+def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
+    """Yield the net's ascending level tuples, in lexicographic order, as
+    rows of integer arrays.
 
-    A block stands for every ascending level tuple ``prefix + tail`` with
-    ``tail`` in combinations_with_replacement(range(lmin, L), t).  Without
-    pruning the whole net is the root block.  With pruning the walk is a
-    depth-first branch-and-bound over nondecreasing level tuples: a subtree
-    dies once its top-level mass exceeds the cap, or once even placing all
-    remaining entries at the current level cannot reach unit mass; a
-    subtree that passes both conditions wholesale is emitted as one block.
-    Leaves (t = 0) near either boundary are re-checked with exactly rounded
-    sums.
+    A frontier of prefixes grows one entry at a time, children in level
+    order after their parent.  Pruned nets are a branch-and-bound: a node
+    dies once its top-level mass exceeds the cap, its children stop where
+    even all t remaining entries at that level cannot reach unit mass, and
+    leaves near either boundary are re-checked with exactly rounded sums.
+    Masses are summed in prefix order, the floats of a per-point walk.
+    Frontiers are cut into slices of about _SLICE_NODES children, walked
+    depth first from a stack, so memory stays bounded.
     """
-    M, L = config.M, config.L
-    if not config.pruned:
-        yield (), 0, M
-        return
-    sq = (config.level_powers**2).tolist()
-    bottom = L - 1
+    M, L, pruned = config.M, config.L, config.pruned
+    dtype = np.int16 if L <= np.iinfo(np.int16).max else np.int32
+    sq = config.level_powers**2
+    sq_top = np.append(sq[:-1], 0.0)  # the bottom level adds no top mass
     dsq = config.delta * config.delta
-    top_cap = 1.0 / dsq
-    bot_sq = sq[bottom]
-
-    def rec(lmin: int, t: int, s: float, top: float, prefix: tuple):
+    # Each entry: prefixes, their last levels, masses s and top masses.
+    stack = [(np.empty((1, 0), dtype), np.zeros(1, int), np.zeros(1), np.zeros(1))]
+    while stack:
+        prefix, lmin, s, top = stack.pop()
+        t = M - prefix.shape[1]
         if t == 0:
-            near = abs(s - 1.0) <= _BB_MARGIN or abs(dsq * top - 1.0) <= _BB_MARGIN
-            if near:
-                if _leaf_passes(prefix, sq, bottom, dsq):
-                    yield prefix, lmin, 0
-            elif s >= 1.0 and dsq * top <= 1.0:
-                yield prefix, lmin, 0
-            return
-        if top > top_cap + _BB_MARGIN:
-            return
-        # Whole-subtree pass: minimum reachable mass already >= 1 and the
-        # worst-case top mass still under the cap.
-        s_min = s + t * bot_sq
-        top_max = top + (t * sq[lmin] if lmin < bottom else 0.0)
-        if s_min >= 1.0 + _BB_MARGIN and top_max <= top_cap - _BB_MARGIN:
-            yield prefix, lmin, t
-            return
-        for l in range(lmin, L):
-            if s + t * sq[l] < 1.0 - _BB_MARGIN:
-                return  # larger l only shrinks the reachable mass
-            add_top = sq[l] if l < bottom else 0.0
-            yield from rec(l, t - 1, s + sq[l], top + add_top, prefix + (l,))
-
-    yield from rec(0, M, 0.0, 0.0, ())
-
-
-def _level_tuples(config: NetConfig) -> Iterator[tuple]:
-    """Ascending level tuples of the net, expanding each block in C."""
-    for prefix, lmin, t in _net_blocks(config):
-        if t == 0:
-            yield prefix  # most blocks of fine nets are single leaves
+            if pruned:
+                keep = (s >= 1.0) & (dsq * top <= 1.0)
+                near = np.abs(s - 1.0) <= _BB_MARGIN
+                near |= np.abs(dsq * top - 1.0) <= _BB_MARGIN
+                for i in np.flatnonzero(near).tolist():
+                    keep[i] = _leaf_passes(prefix[i].tolist(), sq, L - 1, dsq)
+                prefix = prefix[keep]
+            if len(prefix):
+                yield prefix
+            continue
+        if pruned:
+            alive = top <= 1.0 / dsq + _BB_MARGIN
+            prefix, lmin, s, top = (a[alive] for a in (prefix, lmin, s, top))
+            # Bisect for the first level k with s + t*sq[k] < 1 - margin;
+            # the test is monotone in the level, so children are lmin..k-1.
+            lo, hi = np.zeros_like(lmin), np.full_like(lmin, L)
+            tsq = np.append(t * sq, -np.inf)
+            for _ in range(L.bit_length()):
+                mid = (lo + hi) // 2
+                reach = s + tsq[mid] >= 1.0 - _BB_MARGIN
+                lo, hi = np.where(reach, mid + 1, lo), np.where(reach, hi, mid)
+            counts = np.maximum(lo - lmin, 0)
         else:
-            tails = combinations_with_replacement(range(lmin, config.L), t)
-            yield from map(prefix.__add__, tails)
+            counts = L - lmin
+        first = np.cumsum(counts) - counts
+        cuts = np.flatnonzero(np.diff(first // _SLICE_NODES)) + 1
+        if len(cuts):  # push the slices so that the first is walked first
+            parts = zip(*(np.split(a, cuts) for a in (prefix, lmin, s, top)))
+            stack.extend(reversed(list(parts)))
+            continue
+        parent = np.repeat(np.arange(len(counts)), counts)
+        level = lmin[parent] + (np.arange(len(parent)) - first[parent])
+        child = np.empty((len(parent), M - t + 1), dtype)
+        child[:, :-1], child[:, -1] = prefix[parent], level
+        s, top = s[parent] + sq[level], top[parent] + sq_top[level]
+        stack.append((child, level, s, top))
 
 
 def pruned_cardinality(config: NetConfig) -> int:
-    """Exact number of net points passing :func:`prune_check`.
-
-    Counts the blocks of the pruned walk in closed form, so the big nets
-    never enumerate their interior.
-    """
-    return sum(
-        math.comb(config.L - lmin + t - 1, t)
-        for _, lmin, t in _net_blocks(replace(config, pruned=True))
-    )
+    """Exact number of net points passing :func:`prune_check`."""
+    return sum(len(a) for a in _level_arrays(replace(config, pruned=True)))
 
 
 def enumerate_net(config: NetConfig) -> Iterator[StepPoint]:
@@ -295,8 +290,9 @@ def enumerate_net(config: NetConfig) -> Iterator[StepPoint]:
     level-exponent tuple.  With ``config.pruned`` only points passing
     :func:`prune_check` are yielded.
     """
-    for levels in _level_tuples(config):
-        yield StepPoint.from_ascending_levels(levels, config)
+    for levels in _level_arrays(config):
+        for row in levels.tolist():
+            yield StepPoint.from_ascending_levels(row, config)
 
 
 def volumetric_bound(M: int, epsilon: float) -> float:

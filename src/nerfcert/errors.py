@@ -21,6 +21,10 @@ class LevelSearchOverflowError(NerfCertError, RuntimeError):
     """No admissible level count was found below the search cap."""
 
 
+class InvariantViolationError(NerfCertError, RuntimeError):
+    """An internal consistency check failed; the result cannot be trusted."""
+
+
 class OracleInfeasibleError(NerfCertError, RuntimeError):
     """The exhaustive subset count exceeds the configured budget."""
 

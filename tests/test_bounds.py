@@ -26,7 +26,11 @@ from nerfcert.bounds import (
     resolve_threads,
     write_bounds_csv,
 )
-from nerfcert.errors import InvalidConfigError, InvalidInputError
+from nerfcert.errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    InvariantViolationError,
+)
 
 
 def swept_counts(err):
@@ -142,6 +146,14 @@ class TestSweep:
         assert np.array_equal(one.beta_eps, largest.max(axis=0))
         assert np.array_equal(one.argmax_r, largest.argmax(axis=0))
 
+    def test_unpruned_net_sweeps_every_point(self, frame_4_12):
+        full = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25, pruned=False))
+        pruned = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25))
+        assert full.net_points_used == 7315
+        # A superset of the pruned points: extrema can only widen.
+        assert np.all(full.alpha_eps <= pruned.alpha_eps)
+        assert np.all(full.beta_eps >= pruned.beta_eps)
+
     def test_missing_witness_rejected(self, frame_4_12, monkeypatch):
         kernel = bounds._chunk_accumulate
 
@@ -151,7 +163,7 @@ class TestSweep:
             return part
 
         monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvariantViolationError):
             sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
 
     def test_beta_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
@@ -283,8 +295,8 @@ class TestChunkRows:
         assert chunk_rows(n) == rows
 
     def test_reference_sizes(self):
-        assert chunk_rows(560) == 3744
-        assert chunk_rows(4032) == 520
+        assert chunk_rows(560) == 936
+        assert chunk_rows(4032) == 130
 
 
 class TestThreads:

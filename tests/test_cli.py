@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from nerfcert import bounds
 from nerfcert.cli import (
     EXIT_INFEASIBLE,
+    EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE_IO,
     main,
@@ -147,6 +149,25 @@ class TestEstimate:
         )
         assert code == EXIT_USAGE_IO
         assert "non-finite" in capsys.readouterr().err
+
+    def test_invariant_violation_exit_code(
+        self, frame_file, tmp_path, monkeypatch, capsys
+    ):
+        kernel = bounds._chunk_accumulate
+
+        def lose_witnesses(*args):
+            part = kernel(*args)
+            part.argmin[:] = bounds._NO_RANK
+            return part
+
+        monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
+        csv = tmp_path / "x.csv"
+        code = main(
+            ["estimate", "-f", str(frame_file), "--eps-sq", "0.5", "-o", str(csv)]
+        )
+        assert code == EXIT_INVARIANT
+        assert "no witness" in capsys.readouterr().err
+        assert not csv.exists()
 
     def test_unreadable_frame(self, tmp_path):
         code = main(

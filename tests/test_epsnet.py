@@ -1,5 +1,6 @@
 """Quantization levels, step-point enumeration, pruning, and covering."""
 
+import hashlib
 import math
 from itertools import combinations_with_replacement
 
@@ -19,7 +20,7 @@ from nerfcert import (
     verify_covering,
     volumetric_bound,
 )
-from nerfcert.epsnet import _net_blocks, volumetric_bound_log
+from nerfcert.epsnet import _level_arrays, volumetric_bound_log
 from nerfcert.errors import InvalidInputError
 
 
@@ -103,8 +104,8 @@ class TestCardinality:
             assert len(points) == pruned_cardinality(config)
 
     def test_pruned_enumeration_agrees_with_filter(self):
-        # The branch-and-bound walk, expanding whole blocks at once, must
-        # keep exactly the points the direct per-point test keeps.
+        # The branch-and-bound walk, cutting whole subtrees, must keep
+        # exactly the points the direct per-point test keeps.
         for M, eps_sq in ((4, 0.25), (3, 0.1), (5, 0.25), (5, 0.5)):
             config = NetConfig.create(M, eps_sq)
             direct = [
@@ -118,7 +119,40 @@ class TestCardinality:
             assert len(walked) == len(direct)
             for a, b in zip(walked, direct):
                 assert a.exponents == b.exponents
-            assert any(t > 0 for _, _, t in _net_blocks(config))
+            assert len(walked) < config.cardinality
+
+
+class TestNetOrder:
+    # Witness ranks index the net, so its order is part of the output:
+    # the count and sha256 of the int16 level tuples must not move.
+    PINNED = {
+        (4, 2**-5, True): (
+            2366921,
+            "8a40daaf6ec1ae8f50228f90368cea5de2ec2fa9ba83e68eef68c32aa8a45d77",
+        ),
+        (8, 0.25, True): (
+            503486,
+            "b7c9118cdb0c86f4834d29102810f6588bea3bbcdad9508890ce4295a14cc23a",
+        ),
+        (10, 0.45, True): (
+            12614,
+            "73132bc832357ab01cc154982eee269b6e99be64ed647aa36b5db7ae12593d3d",
+        ),
+        (4, 0.25, False): (
+            7315,
+            "947dd4a0ccc54a612ea4dcd6c7abfe5f293dafa92e7025d9686b24ffc349e9ee",
+        ),
+    }
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_level_tuples_pinned(self, key):
+        M, eps_sq, pruned = key
+        config = NetConfig.create(M, eps_sq, pruned=pruned)
+        levels = np.concatenate(list(_level_arrays(config)))
+        count, digest = self.PINNED[key]
+        assert levels.dtype == np.int16
+        assert levels.shape == (count, M)
+        assert hashlib.sha256(levels.tobytes()).hexdigest() == digest
 
 
 class TestStepPoint:
