@@ -1,12 +1,16 @@
 """Net-sweep estimates and certified intervals for optimal NERF bounds.
 
 For every net point the squared correlations with the frame columns are
-sorted; prefix sums give the candidate lower bounds (sum of the K
-smallest) and suffix sums the candidate upper bounds (sum of the K
-largest).  Running elementwise min/max over all net points yields the
-approximate bounds alpha_eps[K], beta_eps[K] for every K in one pass.
-Certification then converts these into two-sided intervals around the
-true extremal eigenvalue bounds.
+sorted, and their prefix sums are the candidate lower bounds (sum of the
+K smallest).  A running elementwise min over all net points yields the
+approximate lower bounds alpha_eps[K] for every K in one pass.  The upper
+side needs no sweep of its own: for a unit norm tight frame every unit
+psi has sum_n |<psi,phi_n>|^2 = N/M, so the sum of the K largest is N/M
+minus the sum of the N-K smallest, and beta_eps[K] = N/M - alpha_eps[N-K]
+(the exact bounds obey the same identity, since the complement of a
+K-subset has frame operator (N/M)I - S).  Certification then converts
+these into two-sided intervals around the true extremal eigenvalue
+bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ _CHUNK_BYTES = 4 * 2**20  # per rows x N float64 temporary; see chunk_rows
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column a chunk did not improve
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
-CAP_MODES = ("combined", "untf", "general")
+CAP_MODES = ("combined", "untf")
 
 __all__ = [
     "BoundsTable",
@@ -71,40 +75,26 @@ class BoundsTable:
 
 @dataclass
 class SweepAccumulator:
-    """Running per-K extrema; merging is an elementwise min/max."""
+    """Running per-K minima; merging is an elementwise min."""
 
     alpha: np.ndarray
-    beta: np.ndarray
     argmin: np.ndarray
-    argmax: np.ndarray
     points_processed: int = 0
 
     @classmethod
     def empty(cls, N: int) -> "SweepAccumulator":
         return cls(
-            alpha=np.full(N, np.inf),
-            beta=np.full(N, -np.inf),
-            argmin=np.zeros(N, dtype=np.int64),
-            argmax=np.zeros(N, dtype=np.int64),
+            alpha=np.full(N, np.inf), argmin=np.zeros(N, dtype=np.int64)
         )
 
     def merge(self, other: "SweepAccumulator") -> "SweepAccumulator":
         # Ties keep the smaller point rank, so merges commute.
-        take_a = np.where(
-            other.alpha < self.alpha,
-            True,
-            (other.alpha == self.alpha) & (other.argmin < self.argmin),
-        )
-        take_b = np.where(
-            other.beta > self.beta,
-            True,
-            (other.beta == self.beta) & (other.argmax < self.argmax),
+        take = (other.alpha < self.alpha) | (
+            (other.alpha == self.alpha) & (other.argmin < self.argmin)
         )
         return SweepAccumulator(
-            alpha=np.where(take_a, other.alpha, self.alpha),
-            beta=np.where(take_b, other.beta, self.beta),
-            argmin=np.where(take_a, other.argmin, self.argmin),
-            argmax=np.where(take_b, other.argmax, self.argmax),
+            alpha=np.where(take, other.alpha, self.alpha),
+            argmin=np.where(take, other.argmin, self.argmin),
             points_processed=self.points_processed + other.points_processed,
         )
 
@@ -136,10 +126,10 @@ def _chunk_accumulate(
     offset: int,
     running: SweepAccumulator,
 ) -> SweepAccumulator:
-    """Prefix/suffix extrema over one batch of unit-norm net points.
+    """Prefix-sum minima over one batch of unit-norm net points.
 
     Witness ranks are searched only in columns that beat ``running``, the
-    extrema of chunks of lower rank merged so far; other columns get
+    minima of chunks of lower rank merged so far; other columns get
     _NO_RANK.  Such a column already has an attaining point of lower rank
     and _NO_RANK never wins a tie in merge, so merged witnesses stay the
     first attaining ranks whatever ``running`` lags behind.
@@ -153,25 +143,8 @@ def _chunk_accumulate(
     argmin = np.full(n, _NO_RANK, dtype=np.int64)
     idx = np.flatnonzero(alpha < running.alpha)
     argmin[idx] = prefix[:, idx].argmin(axis=0) + offset
-
-    # Overwrite prefix with drop[:, j] = row total - prefix[:, j], the
-    # sum of the n-1-j largest, so beta[K-1] = max of drop[:, n-1-K].
-    total = prefix[:, -1].copy()
-    drop = np.subtract(total[:, None], prefix, out=prefix)
-    beta = np.empty(n)
-    beta[:-1] = drop.max(axis=0)[-2::-1]
-    beta[-1] = total.max()
-    argmax = np.full(n, _NO_RANK, dtype=np.int64)
-    idx = np.flatnonzero(beta[:-1] > running.beta[:-1])
-    argmax[idx] = drop[:, n - 2 - idx].argmax(axis=0) + offset
-    if beta[-1] > running.beta[-1]:
-        argmax[-1] = total.argmax() + offset
     return SweepAccumulator(
-        alpha=alpha,
-        beta=beta,
-        argmin=argmin,
-        argmax=argmax,
-        points_processed=psi_rows.shape[0],
+        alpha=alpha, argmin=argmin, points_processed=psi_rows.shape[0]
     )
 
 
@@ -238,16 +211,19 @@ def sweep_all_K(
     threads: int = 1,
     progress: bool = False,
 ) -> BoundsTable:
-    """One pass over the net filling alpha_eps and beta_eps for all K.
+    """One pass over the net filling alpha_eps, then beta_eps by duality.
 
     The caller is responsible for the frame being signed-permutation
-    invariant (see frames.verify_group_invariance); only then do sector
-    net points certify anything about the whole sphere.  Results are
-    independent of chunking and thread count: per-point sums are computed
-    identically everywhere and merged by pure min/max.  With ``progress``
-    a line goes to stderr each time the count passes a multiple of
-    _PROGRESS_EVERY, and one final line gives the total, at any thread
-    count.
+    invariant and unit-norm (see frames.verify_group_invariance and
+    frames.verify_untf); only then do sector net points certify anything
+    about the whole sphere, and only then is the frame tight (Schur's
+    lemma: the group is irreducible), which beta_eps[K] = N/M -
+    alpha_eps[N-K] needs.  beta_eps[N] is N/M exactly, with witness rank
+    0: every point attains the empty complement.  Results are independent
+    of chunking and thread count: per-point sums are computed identically
+    everywhere and merged by pure min.  With ``progress`` a line goes to
+    stderr each time the count passes a multiple of _PROGRESS_EVERY, and
+    one final line gives the total, at any thread count.
     """
     threads = resolve_threads(threads)
     acc = SweepAccumulator.empty(frame.N)
@@ -263,16 +239,20 @@ def sweep_all_K(
 
     if acc.points_processed == 0:
         raise InvariantViolationError("net is empty; nothing to sweep")
-    if np.any(acc.argmin == _NO_RANK) or np.any(acc.argmax == _NO_RANK):
+    if np.any(acc.argmin == _NO_RANK):
         raise InvariantViolationError("sweep left a bound with no witness")
+    beta = np.full(frame.N, frame.N / frame.M)
+    beta[:-1] -= acc.alpha[-2::-1]
+    argmax = np.zeros(frame.N, dtype=np.int64)
+    argmax[:-1] = acc.argmin[-2::-1]
     return BoundsTable(
         M=frame.M,
         N=frame.N,
         epsilon_sq=config.epsilon_sq,
         alpha_eps=acc.alpha,
-        beta_eps=acc.beta,
+        beta_eps=beta,
         argmin_r=acc.argmin,
-        argmax_r=acc.argmax,
+        argmax_r=argmax,
         net_points_used=acc.points_processed,
         L=config.L,
         delta=config.delta,
@@ -282,13 +262,14 @@ def sweep_all_K(
 def certify(table: BoundsTable, cap_mode: str = "combined") -> BoundsTable:
     """Fill the certified interval endpoints alpha_lower / beta_upper.
 
-    cap_mode selects the upper-bound cap fed into the lower certificate:
+    Both modes assume a unit norm tight frame, as the sweep does.
+    beta_upper[K] = min(N/M, beta_eps[K]/(1-eps^2)), and cap_mode selects
+    the upper-bound cap fed into the lower certificate:
 
-    * ``"combined"`` -- min(N/M, beta_eps/(1-eps^2)); the sharpest valid
-      cap for unit norm tight frames (default).
+    * ``"combined"`` -- beta_upper itself; the sharpest valid cap
+      (default).
     * ``"untf"`` -- N/M alone; this is the construction behind the
       published reference tables, weaker than "combined" at small K.
-    * ``"general"`` -- beta_eps/(1-eps^2); no tightness assumed.
 
     alpha_lower[K] = (alpha_eps[K] - eps^2 * cap[K]) / (1 - eps^2); values
     may be negative, meaning no lower certificate at that K.
@@ -302,18 +283,9 @@ def certify(table: BoundsTable, cap_mode: str = "combined") -> BoundsTable:
     eps_sq = table.epsilon_sq
     scale = 1.0 / (1.0 - eps_sq)
     redundancy = table.N / table.M
-    general_cap = table.beta_eps * scale
-    if cap_mode == "combined":
-        cap = np.minimum(redundancy, general_cap)
-    elif cap_mode == "untf":
-        cap = np.full(table.N, redundancy)
-    else:
-        cap = general_cap
+    table.beta_upper = np.minimum(redundancy, table.beta_eps * scale)
+    cap = table.beta_upper if cap_mode == "combined" else redundancy
     table.alpha_lower = (table.alpha_eps - eps_sq * cap) * scale
-    if cap_mode == "general":
-        table.beta_upper = general_cap
-    else:
-        table.beta_upper = np.minimum(redundancy, general_cap)
     table.cap_mode = cap_mode
     return table
 

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-frame, build-net, estimate, oracle, report.  Exit codes:
-0 success, 2 usage or I/O failure, 3 infeasible budget, 4 internal
-invariant violation.  Progress goes to stderr only; piped CSV stays
-clean.
+0 success, 2 usage or I/O failure (``estimate`` also exits 2 on a frame
+that is not signed-permutation invariant, unit norm and tight), 3 infeasible
+budget, 4 internal invariant violation.  Progress goes to stderr only;
+piped CSV stays clean.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    CAP_MODES,
     certify,
     chunk_rows,
     condition_number_bound,
@@ -32,11 +34,17 @@ from .epsnet import (
     pruned_cardinality,
     volumetric_bound_log,
 )
-from .errors import InvariantViolationError, NerfCertError, OracleInfeasibleError
+from .errors import (
+    InvalidInputError,
+    InvariantViolationError,
+    NerfCertError,
+    OracleInfeasibleError,
+)
 from .frames import (
     GeneratorSpec,
     orbit_signed_permutations,
     read_frame,
+    verify_group_invariance,
     verify_untf,
     write_frame,
 )
@@ -76,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prune", action="store_true")
     p.add_argument(
         "--cap-mode",
-        choices=("combined", "untf", "general"),
+        choices=CAP_MODES,
         default="combined",
-        help="upper-bound cap used in certification",
+        help="upper-bound cap fed into the lower certificate: combined = "
+        "min(N/M, beta_eps/(1-eps^2)), untf = N/M",
     )
     p.add_argument("--threads", type=int, default=0, help="0 = auto")
     p.add_argument("--seed", type=int, default=0, help="echoed into reports")
@@ -143,6 +152,20 @@ def _cmd_build_net(args) -> int:
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     frame = _load_frame(args)
+    # The sweep certifies, and derives beta_eps by duality, only for
+    # invariant unit norm tight frames.  Invariance within INVARIANCE_TOL
+    # does not bound the frame-operator defect; the tightness test does.
+    if not verify_group_invariance(frame):
+        raise InvalidInputError(
+            "frame is not invariant under signed permutations"
+        )
+    untf = verify_untf(frame)
+    if not untf.is_unit_norm:
+        raise InvalidInputError("frame columns are not unit norm")
+    if not untf.is_tight:
+        raise InvalidInputError(
+            f"frame is not tight (defect {untf.frobenius_defect:.3g})"
+        )
     config = NetConfig.create(frame.M, args.eps_sq, pruned=not args.no_prune)
     t1 = time.perf_counter()
     table = sweep_all_K(

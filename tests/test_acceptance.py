@@ -297,7 +297,7 @@ def test_criterion_7e_untf_identities():
         frame = orbit_signed_permutations(GeneratorSpec(M, k))
         report = verify_untf(frame, tol=1e-9)
         assert report.is_unit_norm and report.is_tight
-        assert verify_group_invariance(frame, trials=100, rng_seed=2024)
+        assert verify_group_invariance(frame)
     print("ACCEPTANCE CRITERION 7e (UNTF identities): PASS")
 
 

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from nerfcert import (
+    FrameMatrix,
     GeneratorSpec,
     NetConfig,
     bounds,
     certify,
     condition_number_bound,
     enumerate_net,
+    exact_bounds_all_K,
     min_spanning_K,
     orbit_signed_permutations,
+    pruned_cardinality,
     sorted_squared_correlations,
     sweep_all_K,
     trivial_untf_bounds,
@@ -131,20 +134,22 @@ class TestSweep:
             assert np.array_equal(getattr(one, name), getattr(many, name))
         for table in (one, many):
             assert not np.any(table.argmin_r == bounds._NO_RANK)
-            assert not np.any(table.argmax_r == bounds._NO_RANK)
         # The same per-point sums for all 1106 points in one array: the
-        # chunked sweep must give their extrema and first attaining ranks.
+        # chunked sweep must give their minima and first attaining ranks.
         c2 = np.vstack([
             rows @ frame_4_12.matrix
             for rows, _ in bounds._net_psi_chunks(config, 7)
         ]) ** 2
         prefix = np.cumsum(np.sort(c2, axis=1), axis=1)
-        drop = prefix[:, -1:] - prefix  # column j: sum of the 11-j largest
-        largest = np.hstack([drop[:, -2::-1], prefix[:, -1:]])  # K-1: K largest
         assert np.array_equal(one.alpha_eps, prefix.min(axis=0))
         assert np.array_equal(one.argmin_r, prefix.argmin(axis=0))
+        # Column K-1: the K largest as N/M minus the N-K smallest; the
+        # N largest are N/M exactly, first attained at rank 0.
+        largest = np.hstack([3.0 - prefix[:, -2::-1], np.full((1106, 1), 3.0)])
         assert np.array_equal(one.beta_eps, largest.max(axis=0))
-        assert np.array_equal(one.argmax_r, largest.argmax(axis=0))
+        assert np.array_equal(
+            one.argmax_r, np.append(prefix[:, -2::-1].argmin(axis=0), 0)
+        )
 
     def test_unpruned_net_sweeps_every_point(self, frame_4_12):
         full = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25, pruned=False))
@@ -159,12 +164,19 @@ class TestSweep:
 
         def lose_witnesses(*args):
             part = kernel(*args)
-            part.argmax[:] = bounds._NO_RANK
+            part.argmin[:] = bounds._NO_RANK
             return part
 
         monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
         with pytest.raises(InvariantViolationError):
             sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
+
+    def test_non_tight_frame_still_swept(self):
+        # The library sweep does not check invariance or tightness: a
+        # one-column frame times the net walk alone.
+        config = NetConfig.create(4, 0.25)
+        table = sweep_all_K(FrameMatrix(np.eye(4)[:, :1]), config)
+        assert table.net_points_used == pruned_cardinality(config)
 
     def test_beta_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
         config = NetConfig.create(4, 0.5)
@@ -199,29 +211,21 @@ class TestAccumulator:
             accs.append(
                 SweepAccumulator(
                     alpha=rng.uniform(size=5),
-                    beta=rng.uniform(size=5),
                     argmin=np.full(5, i, dtype=np.int64),
-                    argmax=np.full(5, i, dtype=np.int64),
                     points_processed=10,
                 )
             )
         a = accs[0].merge(accs[1]).merge(accs[2])
         b = accs[2].merge(accs[0]).merge(accs[1])
         assert np.array_equal(a.alpha, b.alpha)
-        assert np.array_equal(a.beta, b.beta)
         assert np.array_equal(a.argmin, b.argmin)
-        assert np.array_equal(a.argmax, b.argmax)
+        assert a.points_processed == b.points_processed == 30
 
     def test_ties_keep_smaller_rank(self):
-        base = dict(alpha=np.array([1.0]), beta=np.array([2.0]))
-        first = SweepAccumulator(
-            argmin=np.array([3]), argmax=np.array([3]), **base
-        )
-        second = SweepAccumulator(
-            argmin=np.array([1]), argmax=np.array([1]), **base
-        )
-        merged = first.merge(second)
-        assert merged.argmin[0] == 1 and merged.argmax[0] == 1
+        first = SweepAccumulator(alpha=np.array([1.0]), argmin=np.array([3]))
+        second = SweepAccumulator(alpha=np.array([1.0]), argmin=np.array([1]))
+        assert first.merge(second).argmin[0] == 1
+        assert second.merge(first).argmin[0] == 1
 
 
 class TestCertify:
@@ -229,10 +233,9 @@ class TestCertify:
         config = NetConfig.create(4, 0.5)
         combined = certify(sweep_all_K(frame_4_12, config), cap_mode="combined")
         untf = certify(sweep_all_K(frame_4_12, config), cap_mode="untf")
-        general = certify(sweep_all_K(frame_4_12, config), cap_mode="general")
         # A smaller cap makes the lower certificate larger.
         assert np.all(combined.alpha_lower >= untf.alpha_lower - 1e-12)
-        assert np.all(combined.alpha_lower >= general.alpha_lower - 1e-12)
+        assert np.array_equal(combined.beta_upper, untf.beta_upper)
 
     def test_sandwich_shape(self, frame_4_12):
         table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
@@ -244,12 +247,54 @@ class TestCertify:
         assert np.all(table.beta_upper <= 3.0 + 1e-12)
 
     def test_rejects_unknown_mode(self, table_4_12):
-        with pytest.raises(InvalidConfigError):
-            certify(table_4_12, cap_mode="bogus")
+        for mode in ("bogus", "general"):
+            with pytest.raises(InvalidConfigError):
+                certify(table_4_12, cap_mode=mode)
 
     def test_default_mode_is_combined(self, frame_4_12):
         table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
         assert certify(table).cap_mode == "combined"
+
+
+class TestDuality:
+    """beta_eps from alpha_eps by complement duality, on a second frame.
+
+    GeneratorSpec(5, 2) has N=20; the oracle covers K in {1, 2, 18, 19, 20}
+    (421 subsets).  Small K is where N/M - alpha_eps[N-K] cancels most.
+    """
+
+    @pytest.fixture(scope="class")
+    def frame_5_20(self):
+        return orbit_signed_permutations(GeneratorSpec(5, 2))
+
+    @pytest.fixture(scope="class")
+    def oracle_5_20(self, frame_5_20):
+        return exact_bounds_all_K(frame_5_20, k_min=1, k_max=2) + (
+            exact_bounds_all_K(frame_5_20, k_min=18, k_max=20)
+        )
+
+    @pytest.mark.parametrize("cap_mode", bounds.CAP_MODES)
+    def test_sandwich(self, frame_5_20, oracle_5_20, cap_mode):
+        table = certify(
+            sweep_all_K(frame_5_20, NetConfig.create(5, 0.25)),
+            cap_mode=cap_mode,
+        )
+        assert [res.K for res in oracle_5_20] == [1, 2, 18, 19, 20]
+        for res in oracle_5_20:
+            i = res.K - 1
+            assert table.alpha_lower[i] <= res.alpha + 1e-9
+            assert res.alpha <= table.alpha_eps[i] + 1e-9
+            assert table.beta_eps[i] <= res.beta + 1e-9
+            assert res.beta <= table.beta_upper[i] + 1e-9
+
+    def test_upper_side_mirrors_lower(self, frame_5_20):
+        table = sweep_all_K(frame_5_20, NetConfig.create(5, 0.25))
+        n = table.N
+        assert table.beta_eps[n - 1] == n / 5
+        for k in range(1, n):
+            assert table.beta_eps[k - 1] == n / 5 - table.alpha_eps[n - k - 1]
+            assert table.argmax_r[k - 1] == table.argmin_r[n - k - 1]
+        assert table.argmax_r[n - 1] == 0
 
 
 class TestDerivedQuantities:

@@ -2,9 +2,18 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from nerfcert import bounds
+from nerfcert import (
+    FrameMatrix,
+    GeneratorSpec,
+    bounds,
+    orbit_signed_permutations,
+    verify_group_invariance,
+    verify_untf,
+    write_frame,
+)
 from nerfcert.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVARIANT,
@@ -168,6 +177,73 @@ class TestEstimate:
         assert code == EXIT_INVARIANT
         assert "no witness" in capsys.readouterr().err
         assert not csv.exists()
+
+    def _estimate_frame(self, phi, tmp_path):
+        """Exit code of ``estimate`` on the frame phi, and its CSV path."""
+        path, csv = tmp_path / "frame.txt", tmp_path / "x.csv"
+        write_frame(FrameMatrix(phi), path)
+        code = main(
+            ["estimate", "-f", str(path), "--eps-sq", "0.5", "-o", str(csv)]
+        )
+        return code, csv
+
+    def test_non_invariant_frame_refused(self, tmp_path, capsys):
+        # Unit norm but neither invariant nor tight: the sweep would print
+        # false intervals for it.
+        phi = np.random.default_rng(0).normal(size=(4, 12))
+        phi /= np.linalg.norm(phi, axis=0)
+        code, csv = self._estimate_frame(phi, tmp_path)
+        assert code == EXIT_USAGE_IO
+        assert "not invariant" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_scaled_column_refused(self, tmp_path):
+        phi = orbit_signed_permutations(GeneratorSpec(4, 2)).matrix.copy()
+        phi[:, 0] *= 1.1
+        code, csv = self._estimate_frame(phi, tmp_path)
+        assert code == EXIT_USAGE_IO
+        assert not csv.exists()
+
+    def test_invariant_but_not_unit_norm_refused(self, tmp_path, capsys):
+        phi = 1.1 * orbit_signed_permutations(GeneratorSpec(4, 2)).matrix
+        code, csv = self._estimate_frame(phi, tmp_path)
+        assert code == EXIT_USAGE_IO
+        assert "not unit norm" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_invariant_within_tol_but_not_tight_refused(self, tmp_path, capsys):
+        # Row 0 stretched by 9e-10 and the columns renormalised: every entry
+        # moves by under 4e-10, so the invariance check passes, but the
+        # frame-operator defect (about 3e-9) would shift the derived beta_eps.
+        phi = orbit_signed_permutations(GeneratorSpec(4, 2)).matrix.copy()
+        phi[0] *= 1.0 + 9e-10
+        phi /= np.linalg.norm(phi, axis=0)
+        frame = FrameMatrix(phi)
+        assert verify_group_invariance(frame)
+        assert verify_untf(frame).is_unit_norm
+        assert not verify_untf(frame).is_tight
+        code, csv = self._estimate_frame(phi, tmp_path)
+        assert code == EXIT_USAGE_IO
+        assert "not tight" in capsys.readouterr().err
+        assert not csv.exists()
+
+    def test_relabelled_orbit_accepted(self, tmp_path):
+        rng = np.random.default_rng(7)
+        phi = orbit_signed_permutations(GeneratorSpec(4, 2)).matrix
+        phi = phi[:, rng.permutation(12)] * rng.choice((-1.0, 1.0), size=12)
+        code, csv = self._estimate_frame(phi, tmp_path)
+        assert code == EXIT_OK
+        assert csv.exists()
+
+    def test_removed_cap_mode_is_usage_error(self, frame_file, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                    "--cap-mode", "general", "-o", str(tmp_path / "x.csv"),
+                ]
+            )
+        assert err.value.code == EXIT_USAGE_IO
 
     def test_unreadable_frame(self, tmp_path):
         code = main(

@@ -93,14 +93,36 @@ class TestOrbit:
     def test_group_invariance(self):
         for M, k in ((4, 2), (6, 3)):
             frame = orbit_signed_permutations(GeneratorSpec(M, k))
-            assert verify_group_invariance(frame, trials=100, rng_seed=7)
+            assert verify_group_invariance(frame)
+
+    def test_invariance_modulo_relabelling_only(self):
+        # Column order and signs do not matter; moving one column off the
+        # orbit by more than the tolerance does.
+        rng = np.random.default_rng(3)
+        phi = orbit_signed_permutations(GeneratorSpec(6, 3)).matrix
+        phi = phi[:, rng.permutation(80)] * rng.choice((-1.0, 1.0), size=80)
+        assert verify_group_invariance(FrameMatrix(phi))
+        phi[2, 5] += 1e-6
+        assert not verify_group_invariance(FrameMatrix(phi))
+
+    def test_each_generator_is_checked(self):
+        # Each frame is invariant under two of the three generators only.
+        pairs = [np.eye(4)[:, i] + np.eye(4)[:, j]
+                 for i in range(4) for j in range(i + 1, 4)]  # no sign flips
+        first_two = np.eye(3)[:, :2]  # not invariant under the 3-cycle
+        shifts = [np.roll([3.0, s, 0.0], r) for r in range(3)
+                  for s in (1.0, -1.0)]  # cyclic, but not under the swap
+        for cols in (np.column_stack(pairs), first_two,
+                     np.column_stack(shifts)):
+            cols = cols / np.linalg.norm(cols, axis=0)
+            assert not verify_group_invariance(FrameMatrix(cols))
 
     def test_non_invariant_frame_detected(self):
         rng = np.random.default_rng(0)
         phi = rng.normal(size=(3, 7))
         phi /= np.linalg.norm(phi, axis=0)
         frame = FrameMatrix(phi)
-        assert not verify_group_invariance(frame, trials=20, rng_seed=1)
+        assert not verify_group_invariance(frame)
 
 
 class TestCanonicalize:
