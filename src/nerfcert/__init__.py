@@ -25,7 +25,6 @@ from .epsnet import (
 from .frames import (
     FrameMatrix,
     GeneratorSpec,
-    GroupDescriptor,
     canonicalize,
     orbit_signed_permutations,
     read_frame,
@@ -34,9 +33,7 @@ from .frames import (
     write_frame,
 )
 from .oracle import (
-    EigenResult,
     OracleResult,
-    eigen_symmetric,
     exact_bounds,
     exact_bounds_all_K,
 )

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .epsnet import NetConfig, _level_arrays
+from .epsnet import NetConfig, _level_arrays, _psi_from_levels
 from .errors import InvalidConfigError, InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
@@ -156,9 +156,8 @@ def _net_psi_chunks(config: NetConfig, rows: int):
             levels = np.concatenate([levels, block])
         end = len(levels) if block is None else len(levels) // rows * rows
         for start in range(0, end, rows):
-            psi_hat = config.level_powers[levels[start : start + rows]]
-            psi_hat /= np.linalg.norm(psi_hat, axis=1, keepdims=True)
-            yield psi_hat, offset + start
+            batch = levels[start : start + rows]
+            yield _psi_from_levels(batch, config), offset + start
         levels, offset = levels[end:], offset + end
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import fsum
 from typing import Iterator, Optional, Sequence
 
@@ -132,7 +133,7 @@ class NetConfig:
     def epsilon(self) -> float:
         return math.sqrt(self.epsilon_sq)
 
-    @property
+    @cached_property
     def level_powers(self) -> np.ndarray:
         powers = self.delta ** np.arange(self.L)
         powers.flags.writeable = False
@@ -167,8 +168,19 @@ class StepPoint:
         for l in levels:
             counts[l] += 1
         psi_hat = config.level_powers[list(exponents)]
-        psi = psi_hat / np.linalg.norm(psi_hat)
+        psi = _psi_from_levels(np.array([levels]), config)[0, ::-1]
         return cls(exponents, tuple(counts), psi_hat, psi)
+
+
+def _psi_from_levels(levels: np.ndarray, config: NetConfig) -> np.ndarray:
+    """Unit-norm net points, one row per row of ascending level exponents.
+
+    The one psi construction: the sweep scores these rows and StepPoint
+    reverses one, so a rebuilt witness is bitwise the vector swept.
+    """
+    psi = config.level_powers[levels]
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    return psi
 
 
 def quantize_step(x: np.ndarray, config: NetConfig) -> StepPoint:

@@ -28,11 +28,17 @@ class InvariantViolationError(NerfCertError, RuntimeError):
 class OracleInfeasibleError(NerfCertError, RuntimeError):
     """The exhaustive subset count exceeds the configured budget."""
 
-    def __init__(self, n: int, k: int, subsets: int, budget: int):
+    def __init__(
+        self, n: int, k_min: int, k_max: int, subsets: int, budget: int
+    ):
         self.n = n
-        self.k = k
+        self.k_min = k_min
+        self.k_max = k_max
         self.subsets = subsets
         self.budget = budget
-        super().__init__(
-            f"C({n},{k}) = {subsets} subsets exceeds budget {budget}"
+        what = (
+            f"C({n},{k_min})"
+            if k_min == k_max
+            else f"C({n},K) summed over K in [{k_min}, {k_max}]"
         )
+        super().__init__(f"{what} = {subsets} subsets exceeds budget {budget}")

@@ -25,7 +25,6 @@ INVARIANCE_TOL = 1e-9
 __all__ = [
     "GeneratorSpec",
     "FrameMatrix",
-    "GroupDescriptor",
     "UntfReport",
     "orbit_signed_permutations",
     "verify_untf",
@@ -63,18 +62,6 @@ class GeneratorSpec:
         return 2 ** (self.k - 1) * math.comb(self.M, self.k)
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
-    """The group of M x M signed permutation matrices."""
-
-    M: int
-
-    @property
-    def order(self) -> int:
-        # Python ints are arbitrary precision, so 2^M * M! never overflows.
-        return (1 << self.M) * math.factorial(self.M)
-
-
 @dataclass
 class FrameMatrix:
     """An M x N matrix of unit-norm columns.
@@ -103,10 +90,6 @@ class FrameMatrix:
     @property
     def tight_constant(self) -> float:
         return self.N / self.M
-
-    def columns(self) -> np.ndarray:
-        """Columns as an (N, M) array of row vectors."""
-        return self.matrix.T
 
 
 @dataclass(frozen=True)

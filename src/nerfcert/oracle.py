@@ -1,17 +1,18 @@
 """Exact optimal NERF bounds for small frames by exhaustive enumeration.
 
-For every K-element column subset the extreme eigenvalues of the M x M
-subframe operator are computed with a cyclic Jacobi eigensolver; the
-global minimum of the smallest and maximum of the largest eigenvalue over
-all C(N,K) subsets are the optimal bounds.  Only feasible for small N,
-which is exactly its job: ground truth to validate the net estimator.
+The K-element column subsets are visited in lexicographic order and
+stacked in batches of M x M subframe operators; one ``np.linalg.eigvalsh``
+call per batch gives every subset's extreme eigenvalues.  The global
+minimum of the smallest and maximum of the largest eigenvalue over all
+C(N,K) subsets are the optimal bounds.  Only feasible for small N, which
+is exactly its job: ground truth to validate the net estimator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import List, Optional
 
 import numpy as np
@@ -20,74 +21,14 @@ from .errors import InvalidInputError, OracleInfeasibleError
 from .frames import FrameMatrix
 
 DEFAULT_BUDGET = 10**7
-_JACOBI_TOL_FACTOR = 1e-14
-_JACOBI_MAX_SWEEPS = 100
+_BATCH_BYTES = 4 * 2**20  # per B x K x M float64 stack of subset columns
 
 __all__ = [
-    "EigenResult",
     "OracleResult",
-    "eigen_symmetric",
     "exact_bounds",
     "exact_bounds_all_K",
     "write_oracle_csv",
 ]
-
-
-@dataclass(frozen=True)
-class EigenResult:
-    """Sorted eigenvalues and the max eigenpair residual ||Aq - lam q||."""
-
-    eigenvalues: np.ndarray
-    residual: float
-
-
-def eigen_symmetric(A: np.ndarray) -> EigenResult:
-    """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
-
-    Sweeps annihilate off-diagonal entries until the off-diagonal
-    Frobenius norm drops below 1e-14 * ||A||_F (100-sweep cap).
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidInputError("matrix must be square")
-    scale = np.linalg.norm(A)
-    if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, scale):
-        raise InvalidInputError("matrix must be symmetric")
-    n = A.shape[0]
-    a = (A + A.T) / 2.0
-    v = np.eye(n)
-    tol = _JACOBI_TOL_FACTOR * max(scale, np.finfo(float).tiny)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, np.sum(a**2) - np.sum(np.diag(a) ** 2)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= tol / max(1, n):
-                    continue
-                # Rotation angle zeroing a[p,q] (standard stable form).
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(
-                    1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0)), theta
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    lam = np.diag(a).copy()
-    order = np.argsort(lam)
-    lam = lam[order]
-    vecs = v[:, order]
-    residual = float(np.max(np.linalg.norm(A @ vecs - vecs * lam, axis=0)))
-    return EigenResult(eigenvalues=lam, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -106,31 +47,37 @@ def exact_bounds(
     """Extreme subframe-operator eigenvalues over all K-subsets.
 
     Subsets are visited in lexicographic order; the first subset attaining
-    each extremum is kept as its witness, so results are deterministic.
+    each extremum is kept as its witness (argmin/argmax pick the first in a
+    batch, a strict comparison decides across batches), so results are
+    deterministic.
     """
     N, M = frame.N, frame.M
     if not 1 <= K <= N:
         raise InvalidInputError(f"need 1 <= K <= N, got K={K}, N={N}")
     total = math.comb(N, K)
     if total > budget:
-        raise OracleInfeasibleError(N, K, total, budget)
-    phi = frame.matrix
+        raise OracleInfeasibleError(N, K, K, total, budget)
+    cols = frame.matrix.T
+    batch = max(1, _BATCH_BYTES // (8 * K * M))
+    subsets = combinations(range(N), K)
     alpha = math.inf
     beta = -math.inf
     wit_a = wit_b = None
     count = 0
-    for subset in combinations(range(N), K):
-        sub = phi[:, subset]
-        # Subframe operator, accumulated fresh per subset.
-        gram = sub @ sub.T
-        lam = eigen_symmetric(gram).eigenvalues
-        count += 1
-        if lam[0] < alpha:
-            alpha = float(lam[0])
-            wit_a = subset
-        if lam[-1] > beta:
-            beta = float(lam[-1])
-            wit_b = subset
+    while True:
+        flat = chain.from_iterable(islice(subsets, batch))
+        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, K)
+        if not len(idx):
+            break
+        sub = cols[idx]  # (B, K, M)
+        lam = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)
+        lo, hi = lam[:, 0], lam[:, -1]
+        i, j = int(lo.argmin()), int(hi.argmax())
+        if lo[i] < alpha:
+            alpha, wit_a = float(lo[i]), tuple(idx[i].tolist())
+        if hi[j] > beta:
+            beta, wit_b = float(hi[j]), tuple(idx[j].tolist())
+        count += len(idx)
     return OracleResult(
         K=K,
         alpha=alpha,
@@ -156,7 +103,7 @@ def exact_bounds_all_K(
         )
     total = sum(math.comb(frame.N, k) for k in range(k_min, k_max + 1))
     if total > budget:
-        raise OracleInfeasibleError(frame.N, -1, total, budget)
+        raise OracleInfeasibleError(frame.N, k_min, k_max, total, budget)
     return [exact_bounds(frame, k, budget) for k in range(k_min, k_max + 1)]
 
 

@@ -151,6 +151,15 @@ class TestSweep:
             one.argmax_r, np.append(prefix[:, -2::-1].argmin(axis=0), 0)
         )
 
+    def test_step_points_are_the_swept_rows(self):
+        # One psi construction: a rebuilt point is bitwise the row scored.
+        config = NetConfig.create(4, 0.25)
+        swept = np.vstack([
+            rows for rows, _ in bounds._net_psi_chunks(config, chunk_rows(12))
+        ])
+        rebuilt = np.vstack([p.psi[::-1] for p in enumerate_net(config)])
+        assert np.array_equal(swept, rebuilt)
+
     def test_unpruned_net_sweeps_every_point(self, frame_4_12):
         full = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25, pruned=False))
         pruned = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25))
@@ -257,44 +266,56 @@ class TestCertify:
 
 
 class TestDuality:
-    """beta_eps from alpha_eps by complement duality, on a second frame.
+    """beta_eps from alpha_eps by complement duality, against the oracle.
 
-    GeneratorSpec(5, 2) has N=20; the oracle covers K in {1, 2, 18, 19, 20}
-    (421 subsets).  Small K is where N/M - alpha_eps[N-K] cancels most.
+    GeneratorSpec(5, 2) has N=20; the oracle covers every K (2^20 - 1
+    subsets).  Small K is where N/M - alpha_eps[N-K] cancels most.
     """
 
     @pytest.fixture(scope="class")
-    def frame_5_20(self):
+    def frame(self):
         return orbit_signed_permutations(GeneratorSpec(5, 2))
 
     @pytest.fixture(scope="class")
-    def oracle_5_20(self, frame_5_20):
-        return exact_bounds_all_K(frame_5_20, k_min=1, k_max=2) + (
-            exact_bounds_all_K(frame_5_20, k_min=18, k_max=20)
-        )
+    def exact(self, frame):
+        return exact_bounds_all_K(frame)
 
     @pytest.mark.parametrize("cap_mode", bounds.CAP_MODES)
-    def test_sandwich(self, frame_5_20, oracle_5_20, cap_mode):
+    def test_sandwich(self, frame, exact, cap_mode):
         table = certify(
-            sweep_all_K(frame_5_20, NetConfig.create(5, 0.25)),
+            sweep_all_K(frame, NetConfig.create(frame.M, 0.25)),
             cap_mode=cap_mode,
         )
-        assert [res.K for res in oracle_5_20] == [1, 2, 18, 19, 20]
-        for res in oracle_5_20:
+        assert [res.K for res in exact] == list(range(1, table.N + 1))
+        for res in exact:
             i = res.K - 1
             assert table.alpha_lower[i] <= res.alpha + 1e-9
             assert res.alpha <= table.alpha_eps[i] + 1e-9
             assert table.beta_eps[i] <= res.beta + 1e-9
             assert res.beta <= table.beta_upper[i] + 1e-9
 
-    def test_upper_side_mirrors_lower(self, frame_5_20):
-        table = sweep_all_K(frame_5_20, NetConfig.create(5, 0.25))
-        n = table.N
-        assert table.beta_eps[n - 1] == n / 5
+    def test_upper_side_mirrors_lower(self, frame):
+        table = sweep_all_K(frame, NetConfig.create(frame.M, 0.25))
+        n, nm = table.N, table.N / table.M
+        assert table.beta_eps[n - 1] == nm
         for k in range(1, n):
-            assert table.beta_eps[k - 1] == n / 5 - table.alpha_eps[n - k - 1]
+            assert table.beta_eps[k - 1] == nm - table.alpha_eps[n - k - 1]
             assert table.argmax_r[k - 1] == table.argmin_r[n - k - 1]
         assert table.argmax_r[n - 1] == 0
+
+
+class TestDualityOrbitUnion(TestDuality):
+    """The same checks on the union of the (4, 1) and (4, 2) orbits: N=16,
+    still invariant, unit norm and tight, but not a single orbit."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return FrameMatrix(
+            np.hstack([
+                orbit_signed_permutations(GeneratorSpec(4, k)).matrix
+                for k in (1, 2)
+            ])
+        )
 
 
 class TestDerivedQuantities:

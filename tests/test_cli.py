@@ -235,6 +235,16 @@ class TestEstimate:
         assert code == EXIT_OK
         assert csv.exists()
 
+    def test_orbit_union_accepted(self, tmp_path):
+        # Two orbits side by side: invariant, unit norm and tight (N/M = 4).
+        phi = np.hstack([
+            orbit_signed_permutations(GeneratorSpec(4, k)).matrix
+            for k in (1, 2)
+        ])
+        code, csv = self._estimate_frame(phi, tmp_path)
+        assert code == EXIT_OK
+        assert csv.exists()
+
     def test_removed_cap_mode_is_usage_error(self, frame_file, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(
@@ -275,6 +285,25 @@ class TestOracle:
             ]
         )
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize(
+        "k_min, k_max, named",
+        [("6", "6", "C(12,6) = 924 "), ("5", "7", "K in [5, 7] = 2508 ")],
+    )
+    def test_budget_message_names_K(
+        self, frame_file, tmp_path, capsys, k_min, k_max, named
+    ):
+        code = main(
+            [
+                "oracle", "-f", str(frame_file), "--k-min", k_min,
+                "--k-max", k_max, "--budget", "100",
+                "-o", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert named in err
+        assert "-1" not in err
 
     def test_sandwich_check_passes(self, frame_file, tmp_path, capsys):
         est = tmp_path / "bounds.csv"

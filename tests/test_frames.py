@@ -9,7 +9,6 @@ import pytest
 from nerfcert import (
     FrameMatrix,
     GeneratorSpec,
-    GroupDescriptor,
     canonicalize,
     orbit_signed_permutations,
     read_frame,
@@ -59,10 +58,6 @@ class TestGeneratorSpec:
             GeneratorSpec(4, 0)
         with pytest.raises(InvalidSpecError):
             GeneratorSpec(4, 5)
-
-    def test_group_order(self):
-        assert GroupDescriptor(4).order == 16 * 24
-        assert GroupDescriptor(6).order == 64 * 720
 
 
 class TestOrbit:

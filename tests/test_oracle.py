@@ -1,4 +1,4 @@
-"""Jacobi eigensolver and the exhaustive subset oracle."""
+"""The exhaustive subset oracle: batched eigvalsh over every K-subset."""
 
 import math
 
@@ -7,9 +7,9 @@ import pytest
 
 from nerfcert import (
     GeneratorSpec,
-    eigen_symmetric,
     exact_bounds,
     exact_bounds_all_K,
+    oracle,
     orbit_signed_permutations,
 )
 from nerfcert.errors import InvalidInputError, OracleInfeasibleError
@@ -19,57 +19,6 @@ from nerfcert.oracle import write_oracle_csv
 @pytest.fixture(scope="module")
 def frame_4_12():
     return orbit_signed_permutations(GeneratorSpec(4, 2))
-
-
-class TestEigenSymmetric:
-    def test_diagonal(self):
-        res = eigen_symmetric(np.diag([3.0, -1.0, 2.0]))
-        assert np.allclose(res.eigenvalues, [-1.0, 2.0, 3.0])
-        assert res.residual < 1e-12
-
-    def test_identity(self):
-        res = eigen_symmetric(np.eye(5))
-        assert np.allclose(res.eigenvalues, 1.0)
-
-    def test_two_by_two_closed_form(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        res = eigen_symmetric(A)
-        assert np.allclose(res.eigenvalues, [1.0, 3.0], atol=1e-12)
-
-    def test_frame_operator(self, frame_4_12):
-        op = frame_4_12.matrix @ frame_4_12.matrix.T
-        res = eigen_symmetric(op)
-        assert np.allclose(res.eigenvalues, 3.0, atol=1e-12)
-
-    def test_invariants_random(self):
-        rng = np.random.default_rng(8)
-        for n in (2, 3, 5, 8):
-            B = rng.normal(size=(n, n))
-            A = (B + B.T) / 2.0
-            res = eigen_symmetric(A)
-            lam = res.eigenvalues
-            assert np.all(np.diff(lam) >= 0)
-            assert math.isclose(lam.sum(), np.trace(A), abs_tol=1e-10)
-            assert math.isclose(
-                float(np.prod(lam)), float(np.linalg.det(A)), abs_tol=1e-8
-            )
-            assert res.residual < 1e-8 * max(1.0, np.linalg.norm(A))
-
-    def test_agrees_with_library_solver(self):
-        rng = np.random.default_rng(13)
-        B = rng.normal(size=(6, 6))
-        A = B @ B.T
-        ours = eigen_symmetric(A).eigenvalues
-        ref = np.linalg.eigvalsh(A)
-        assert np.allclose(ours, ref, atol=1e-10)
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(InvalidInputError):
-            eigen_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidInputError):
-            eigen_symmetric(np.ones((2, 3)))
 
 
 class TestExactBounds:
@@ -91,6 +40,14 @@ class TestExactBounds:
         sub = frame_4_12.matrix[:, list(res.witness_alpha)]
         lam = np.linalg.eigvalsh(sub @ sub.T)
         assert math.isclose(lam[0], res.alpha, abs_tol=1e-10)
+
+    def test_batches_match_one_batch(self, frame_4_12, monkeypatch):
+        one = exact_bounds(frame_4_12, 6)
+        # 1000 bytes hold 5 subsets of 6 columns in R^4: 185 batches of 924.
+        monkeypatch.setattr(oracle, "_BATCH_BYTES", 1000)
+        many = exact_bounds(frame_4_12, 6)
+        assert many == one
+        assert one.subsets_examined == 924
 
     def test_monotone_in_K(self, frame_4_12):
         results = exact_bounds_all_K(frame_4_12, k_min=5, k_max=9)
