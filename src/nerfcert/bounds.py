@@ -19,8 +19,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
@@ -38,7 +39,6 @@ CAP_MODES = ("combined", "untf")
 
 __all__ = [
     "BoundsTable",
-    "SweepAccumulator",
     "sorted_squared_correlations",
     "sweep_all_K",
     "certify",
@@ -73,32 +73,6 @@ class BoundsTable:
         return self.alpha_lower is not None
 
 
-@dataclass
-class SweepAccumulator:
-    """Running per-K minima; merging is an elementwise min."""
-
-    alpha: np.ndarray
-    argmin: np.ndarray
-    points_processed: int = 0
-
-    @classmethod
-    def empty(cls, N: int) -> "SweepAccumulator":
-        return cls(
-            alpha=np.full(N, np.inf), argmin=np.zeros(N, dtype=np.int64)
-        )
-
-    def merge(self, other: "SweepAccumulator") -> "SweepAccumulator":
-        # Ties keep the smaller point rank, so merges commute.
-        take = (other.alpha < self.alpha) | (
-            (other.alpha == self.alpha) & (other.argmin < self.argmin)
-        )
-        return SweepAccumulator(
-            alpha=np.where(take, other.alpha, self.alpha),
-            argmin=np.where(take, other.argmin, self.argmin),
-            points_processed=self.points_processed + other.points_processed,
-        )
-
-
 def sorted_squared_correlations(
     frame: FrameMatrix, psi: np.ndarray
 ) -> np.ndarray:
@@ -121,44 +95,45 @@ def chunk_rows(N: int) -> int:
 
 
 def _chunk_accumulate(
-    phi: np.ndarray,
-    psi_rows: np.ndarray,
-    offset: int,
-    running: SweepAccumulator,
-) -> SweepAccumulator:
-    """Prefix-sum minima over one batch of unit-norm net points.
+    phi: np.ndarray, psi_rows: np.ndarray, offset: int, best: np.ndarray
+) -> tuple:
+    """Prefix-sum minima over one batch of unit-norm net points, and the
+    first rank attaining each.
 
-    Witness ranks are searched only in columns that beat ``running``, the
-    minima of chunks of lower rank merged so far; other columns get
-    _NO_RANK.  Such a column already has an attaining point of lower rank
-    and _NO_RANK never wins a tie in merge, so merged witnesses stay the
-    first attaining ranks whatever ``running`` lags behind.
+    Ranks are searched only in columns that beat ``best``, the minima of
+    the batches merged when this one was submitted; other columns get
+    _NO_RANK.  Such a column already has an attaining point of lower rank,
+    and the merge takes a batch's value only where it is strictly smaller,
+    so merged witnesses stay the first attaining ranks whatever ``best``
+    lags behind.
     """
-    n = phi.shape[1]
     prefix = psi_rows @ phi
     np.square(prefix, out=prefix)
     prefix.sort(axis=1)
     np.cumsum(prefix, axis=1, out=prefix)
     alpha = prefix.min(axis=0)
-    argmin = np.full(n, _NO_RANK, dtype=np.int64)
-    idx = np.flatnonzero(alpha < running.alpha)
-    argmin[idx] = prefix[:, idx].argmin(axis=0) + offset
-    return SweepAccumulator(
-        alpha=alpha, argmin=argmin, points_processed=psi_rows.shape[0]
-    )
+    rank = np.full(phi.shape[1], _NO_RANK, dtype=np.int64)
+    idx = np.flatnonzero(alpha < best)
+    rank[idx] = prefix[:, idx].argmin(axis=0) + offset
+    return alpha, rank
 
 
 def _net_psi_chunks(config: NetConfig, rows: int):
-    """Yield (psi_rows, first_rank) batches of at most ``rows`` points."""
-    levels, offset = np.empty((0, config.M), dtype=np.int16), 0
-    for block in chain(_level_arrays(config), [None]):
-        if block is not None:
-            levels = np.concatenate([levels, block])
-        end = len(levels) if block is None else len(levels) // rows * rows
-        for start in range(0, end, rows):
+    """Yield (psi_rows, first_rank) batches of at most ``rows`` points, cut
+    from each walker block in turn."""
+    offset = 0
+    for levels in _level_arrays(config):
+        for start in range(0, len(levels), rows):
             batch = levels[start : start + rows]
             yield _psi_from_levels(batch, config), offset + start
-        levels, offset = levels[end:], offset + end
+        offset += len(levels)
+
+
+def _run_now(fn, *args) -> Future:
+    """A future already holding fn(*args), computed in the calling thread."""
+    job = Future()
+    job.set_result(fn(*args))
+    return job
 
 
 def resolve_threads(threads: int) -> int:
@@ -178,32 +153,6 @@ def resolve_threads(threads: int) -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_results(phi: np.ndarray, config: NetConfig, threads: int, running):
-    """Per-chunk accumulators in chunk order, computed inline for one
-    thread, else by a pool with at most 4*threads chunks in flight.
-
-    ``running()`` gives the accumulator merged so far; each chunk gets the
-    one current when it is computed (inline) or submitted (pool).
-    """
-    rows = chunk_rows(phi.shape[1])
-    if threads == 1:
-        for psi_rows, offset in _net_psi_chunks(config, rows):
-            yield _chunk_accumulate(phi, psi_rows, offset, running())
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = deque()
-        for psi_rows, offset in _net_psi_chunks(config, rows):
-            window.append(
-                pool.submit(_chunk_accumulate, phi, psi_rows, offset, running())
-            )
-            if len(window) >= 4 * threads:
-                yield window.popleft().result()
-        for fut in window:
-            yield fut.result()
-
-
 def sweep_all_K(
     frame: FrameMatrix,
     config: NetConfig,
@@ -218,41 +167,69 @@ def sweep_all_K(
     about the whole sphere, and only then is the frame tight (Schur's
     lemma: the group is irreducible), which beta_eps[K] = N/M -
     alpha_eps[N-K] needs.  beta_eps[N] is N/M exactly, with witness rank
-    0: every point attains the empty complement.  Results are independent
-    of chunking and thread count: per-point sums are computed identically
-    everywhere and merged by pure min.  With ``progress`` a line goes to
-    stderr each time the count passes a multiple of _PROGRESS_EVERY, and
-    one final line gives the total, at any thread count.
+    0: every point attains the empty complement.
+
+    One loop at every thread count: batches of chunk_rows(N) points, cut
+    from the walker's blocks, go through a FIFO window with 4*threads in
+    flight to a pool of ``threads`` workers, and are merged in rank order,
+    a batch's value taken only where it is strictly smaller.  So results
+    are independent of chunking and thread count: per-point sums are
+    computed identically everywhere, and each witness is the first
+    attaining rank.  The merge builds new arrays, so the minima a worker
+    was given are never written.  At one thread the window holds one
+    batch, computed in the calling thread: handing each batch to a pool
+    thread costs two thread wake-ups, which made one-thread runs 10-30 %
+    slower on a 2-vCPU VM.  With ``progress`` a line goes to stderr each
+    time the count passes a multiple of _PROGRESS_EVERY, and one final
+    line gives the total.
     """
     threads = resolve_threads(threads)
-    acc = SweepAccumulator.empty(frame.N)
-    shown = 0
-    for part in _chunk_results(frame.matrix, config, threads, lambda: acc):
-        acc = acc.merge(part)
-        done = acc.points_processed
-        if progress and done // _PROGRESS_EVERY > shown // _PROGRESS_EVERY:
-            shown = done
-            print(f"  swept {done} net points", file=sys.stderr)
-    if progress and shown != acc.points_processed:
-        print(f"  swept {acc.points_processed} net points", file=sys.stderr)
+    alpha = np.full(frame.N, np.inf)
+    argmin = np.zeros(frame.N, dtype=np.int64)
+    done = shown = 0
+    window = deque()
+    with ThreadPoolExecutor(threads) as pool:
+        submit, depth = (
+            (pool.submit, 4 * threads) if threads > 1 else (_run_now, 1)
+        )
+        batches = _net_psi_chunks(config, chunk_rows(frame.N))
+        for batch in chain(batches, [None]):
+            if batch is not None:
+                psi_rows, offset = batch
+                job = submit(
+                    _chunk_accumulate, frame.matrix, psi_rows, offset, alpha
+                )
+                window.append((len(psi_rows), job))
+            while window and (batch is None or len(window) >= depth):
+                rows, job = window.popleft()
+                part, rank = job.result()
+                take = part < alpha
+                alpha = np.where(take, part, alpha)
+                argmin = np.where(take, rank, argmin)
+                done += rows
+                if progress and done // _PROGRESS_EVERY > shown // _PROGRESS_EVERY:
+                    shown = done
+                    print(f"  swept {done} net points", file=sys.stderr)
+    if progress and shown != done:
+        print(f"  swept {done} net points", file=sys.stderr)
 
-    if acc.points_processed == 0:
+    if done == 0:
         raise InvariantViolationError("net is empty; nothing to sweep")
-    if np.any(acc.argmin == _NO_RANK):
+    if np.any(argmin == _NO_RANK):
         raise InvariantViolationError("sweep left a bound with no witness")
     beta = np.full(frame.N, frame.N / frame.M)
-    beta[:-1] -= acc.alpha[-2::-1]
+    beta[:-1] -= alpha[-2::-1]
     argmax = np.zeros(frame.N, dtype=np.int64)
-    argmax[:-1] = acc.argmin[-2::-1]
+    argmax[:-1] = argmin[-2::-1]
     return BoundsTable(
         M=frame.M,
         N=frame.N,
         epsilon_sq=config.epsilon_sq,
-        alpha_eps=acc.alpha,
+        alpha_eps=alpha,
         beta_eps=beta,
-        argmin_r=acc.argmin,
+        argmin_r=argmin,
         argmax_r=argmax,
-        net_points_used=acc.points_processed,
+        net_points_used=done,
         L=config.L,
         delta=config.delta,
     )
@@ -358,17 +335,24 @@ def read_bounds_csv(path) -> BoundsTable:
         first = fh.readline()
         if not first.startswith("# "):
             raise InvalidInputError(f"{path}: missing JSON header line")
-        meta = json.loads(first[2:])
         fh.readline()  # column header
         rows = [line.split(",") for line in fh if line.strip()]
-    n = meta["N"]
-    if len(rows) != n:
-        raise InvalidInputError(f"{path}: expected {n} rows, found {len(rows)}")
-    cols = np.array([[float(v) for v in row] for row in rows])
+    try:
+        meta = json.loads(first[2:])
+        m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
+        cols = np.array([[float(v) for v in row] for row in rows])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidInputError(
+            f"{path}: malformed bounds CSV ({type(exc).__name__}: {exc})"
+        ) from None
+    if cols.shape != (n, 7):
+        raise InvalidInputError(
+            f"{path}: expected {n} rows of 7 values, found shape {cols.shape}"
+        )
     table = BoundsTable(
-        M=meta["M"],
+        M=m,
         N=n,
-        epsilon_sq=meta["epsilon_sq"],
+        epsilon_sq=eps_sq,
         alpha_eps=cols[:, 1],
         beta_eps=cols[:, 2],
         argmin_r=np.zeros(n, dtype=np.int64),

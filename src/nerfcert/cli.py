@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "min(N/M, beta_eps/(1-eps^2)), untf = N/M",
     )
     p.add_argument("--threads", type=int, default=0, help="0 = auto")
-    p.add_argument("--seed", type=int, default=0, help="echoed into reports")
     p.add_argument("-o", "--output", required=True, help="bounds CSV path")
     p.add_argument("--report", help="JSON run report path")
 
@@ -194,7 +193,6 @@ def _cmd_estimate(args) -> int:
                 "pruned": not args.no_prune,
                 "cap_mode": args.cap_mode,
                 "threads": resolve_threads(args.threads),
-                "rng_seed": args.seed,
                 "frame_file": args.frame,
             },
             "counts": {
@@ -230,15 +228,21 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     frame = read_frame(args.frame)
+    if args.check:
+        table = read_bounds_csv(args.check)
+        if (table.M, table.N) != (frame.M, frame.N):
+            raise InvalidInputError(
+                f"{args.check}: bounds of a {table.M}x{table.N} frame, "
+                f"but {args.frame} is {frame.M}x{frame.N}"
+            )
+        if not table.certified:
+            print("estimate CSV carries no certified bounds", file=sys.stderr)
+            return EXIT_USAGE_IO
     results = exact_bounds_all_K(
         frame, k_min=args.k_min, k_max=args.k_max, budget=args.budget
     )
     write_oracle_csv(results, args.output)
     if args.check:
-        table = read_bounds_csv(args.check)
-        if not table.certified:
-            print("estimate CSV carries no certified bounds", file=sys.stderr)
-            return EXIT_USAGE_IO
         tol = 1e-9
         for res in results:
             i = res.K - 1
@@ -265,15 +269,18 @@ def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
     oracle_rows = {}
     if args.oracle:
-        with open(args.oracle) as fh:
-            fh.readline()
-            for line in fh:
-                parts = line.split(",")
-                if len(parts) >= 3:
-                    oracle_rows[int(parts[0])] = (
-                        float(parts[1]),
-                        float(parts[2]),
-                    )
+        try:
+            with open(args.oracle) as fh:
+                fh.readline()
+                for line in fh:
+                    parts = line.split(",")
+                    if len(parts) >= 3:
+                        oracle_rows[int(parts[0])] = (
+                            float(parts[1]),
+                            float(parts[2]),
+                        )
+        except ValueError as exc:
+            raise InvalidInputError(f"{args.oracle}: {exc}") from None
     lines = [
         "K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper"
     ]

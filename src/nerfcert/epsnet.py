@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import fsum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -107,20 +107,13 @@ class NetConfig:
 
     @classmethod
     def create(
-        cls,
-        M: int,
-        epsilon_sq: float,
-        pruned: bool = True,
-        L: Optional[int] = None,
+        cls, M: int, epsilon_sq: float, pruned: bool = True
     ) -> "NetConfig":
         if not 0.0 < epsilon_sq < 1.0:
             raise InvalidConfigError(
                 f"epsilon_sq must lie in (0,1), got {epsilon_sq}"
             )
-        if L is None:
-            L = min_levels(M, epsilon_sq)
-        elif L < 2:
-            raise InvalidConfigError(f"L must be >= 2, got {L}")
+        L = min_levels(M, epsilon_sq)
         return cls(
             M=M,
             epsilon_sq=epsilon_sq,
@@ -149,12 +142,10 @@ class StepPoint:
     """One net element.
 
     ``exponents`` is the nonincreasing level profile eta(1..M), so the
-    pre-normalized values psi_hat(m) = delta^eta(m) are nondecreasing;
-    ``counts`` holds the composition (c_0,..,c_{L-1}) with sum M.
+    pre-normalized values psi_hat(m) = delta^eta(m) are nondecreasing.
     """
 
     exponents: tuple
-    counts: tuple
     psi_hat: np.ndarray
     psi: np.ndarray
 
@@ -164,12 +155,9 @@ class StepPoint:
     ) -> "StepPoint":
         """Build from level exponents sorted ascending (entry M first)."""
         exponents = tuple(reversed(levels))
-        counts = [0] * config.L
-        for l in levels:
-            counts[l] += 1
         psi_hat = config.level_powers[list(exponents)]
         psi = _psi_from_levels(np.array([levels]), config)[0, ::-1]
-        return cls(exponents, tuple(counts), psi_hat, psi)
+        return cls(exponents, psi_hat, psi)
 
 
 def _psi_from_levels(levels: np.ndarray, config: NetConfig) -> np.ndarray:
@@ -313,8 +301,6 @@ def volumetric_bound(M: int, epsilon: float) -> float:
     Diagnostic only; evaluated in logs to dodge overflow and exponentiated
     at the end.
     """
-    if M < 1 or epsilon <= 0:
-        raise InvalidInputError(f"need M >= 1 and epsilon > 0")
     return math.exp(volumetric_bound_log(M, epsilon))
 
 

@@ -197,17 +197,18 @@ def read_frame(path) -> FrameMatrix:
         header = fh.readline().split()
         if len(header) != 2:
             raise InvalidInputError(f"{path}: expected header 'M N'")
-        m, n = int(header[0]), int(header[1])
-        rows = []
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = [float(v) for v in line.split()]
-            if len(vals) != m:
-                raise InvalidInputError(
-                    f"{path}: column with {len(vals)} entries, expected {m}"
-                )
-            rows.append(vals)
+        try:
+            m, n = int(header[0]), int(header[1])
+            rows = [
+                [float(v) for v in line.split()] for line in fh if line.strip()
+            ]
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
+    for vals in rows:
+        if len(vals) != m:
+            raise InvalidInputError(
+                f"{path}: column with {len(vals)} entries, expected {m}"
+            )
     if len(rows) != n:
         raise InvalidInputError(f"{path}: found {len(rows)} columns, expected {n}")
     return FrameMatrix(np.array(rows).T)

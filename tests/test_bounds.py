@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from nerfcert import (
     certify,
     condition_number_bound,
     enumerate_net,
+    epsnet,
     exact_bounds_all_K,
     min_spanning_K,
     orbit_signed_permutations,
@@ -23,7 +25,6 @@ from nerfcert import (
     trivial_untf_bounds,
 )
 from nerfcert.bounds import (
-    SweepAccumulator,
     chunk_rows,
     read_bounds_csv,
     resolve_threads,
@@ -151,6 +152,30 @@ class TestSweep:
             one.argmax_r, np.append(prefix[:, -2::-1].argmin(axis=0), 0)
         )
 
+    def test_rank_offsets_across_walker_blocks(self, frame_4_12, monkeypatch):
+        # Every other net here fits in one walker block; with 16-node slices
+        # the 1106 points arrive in 92 blocks, so a batch's first rank must
+        # count the points of the blocks before it.
+        config = NetConfig.create(4, 0.25)
+        default = sweep_all_K(frame_4_12, config)
+        monkeypatch.setattr(epsnet, "_SLICE_NODES", 16)
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        assert len(list(epsnet._level_arrays(config))) == 92
+        # More workers than cores, switching threads often: workers read
+        # the minima while the main thread merges.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            tables = [sweep_all_K(frame_4_12, config, threads=t) for t in (1, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for table in tables:
+            assert table.net_points_used == 1106
+            for name in ("alpha_eps", "beta_eps", "argmin_r", "argmax_r"):
+                assert np.array_equal(
+                    getattr(table, name), getattr(default, name)
+                )
+
     def test_step_points_are_the_swept_rows(self):
         # One psi construction: a rebuilt point is bitwise the row scored.
         config = NetConfig.create(4, 0.25)
@@ -172,9 +197,9 @@ class TestSweep:
         kernel = bounds._chunk_accumulate
 
         def lose_witnesses(*args):
-            part = kernel(*args)
-            part.argmin[:] = bounds._NO_RANK
-            return part
+            alpha, rank = kernel(*args)
+            rank[:] = bounds._NO_RANK
+            return alpha, rank
 
         monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
         with pytest.raises(InvariantViolationError):
@@ -210,31 +235,6 @@ class TestSweep:
                 float(table_4_12.alpha_eps[k - 1]),
                 rel_tol=1e-12,
             )
-
-
-class TestAccumulator:
-    def test_merge_commutes(self):
-        rng = np.random.default_rng(0)
-        accs = []
-        for i in range(3):
-            accs.append(
-                SweepAccumulator(
-                    alpha=rng.uniform(size=5),
-                    argmin=np.full(5, i, dtype=np.int64),
-                    points_processed=10,
-                )
-            )
-        a = accs[0].merge(accs[1]).merge(accs[2])
-        b = accs[2].merge(accs[0]).merge(accs[1])
-        assert np.array_equal(a.alpha, b.alpha)
-        assert np.array_equal(a.argmin, b.argmin)
-        assert a.points_processed == b.points_processed == 30
-
-    def test_ties_keep_smaller_rank(self):
-        first = SweepAccumulator(alpha=np.array([1.0]), argmin=np.array([3]))
-        second = SweepAccumulator(alpha=np.array([1.0]), argmin=np.array([1]))
-        assert first.merge(second).argmin[0] == 1
-        assert second.merge(first).argmin[0] == 1
 
 
 class TestCertify:

@@ -95,6 +95,7 @@ class TestEstimate:
         payload = json.loads(rep.read_text())
         assert payload["status"] == "ok"
         assert payload["config"]["M"] == 4
+        assert "rng_seed" not in payload["config"]
         assert payload["results"]["min_spanning_K"] == 10
         assert payload["timings_s"]["sweep"] >= 0
         assert payload["counts"]["chunk_rows"] == 4096
@@ -165,9 +166,9 @@ class TestEstimate:
         kernel = bounds._chunk_accumulate
 
         def lose_witnesses(*args):
-            part = kernel(*args)
-            part.argmin[:] = bounds._NO_RANK
-            return part
+            alpha, rank = kernel(*args)
+            rank[:] = bounds._NO_RANK
+            return alpha, rank
 
         monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
         csv = tmp_path / "x.csv"
@@ -322,6 +323,84 @@ class TestOracle:
         )
         assert code == EXIT_OK
         assert "sandwich verified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("M, k", [("5", "2"), ("12", "1")])
+    def test_check_from_another_frame_refused(
+        self, frame_file, tmp_path, capsys, M, k
+    ):
+        # A 4x12 estimate against a 5x20 frame (N differs) and against the
+        # 12x12 frame of the standard basis (N matches, M does not).
+        est, other = tmp_path / "bounds.csv", tmp_path / "other.txt"
+        main(["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+              "-o", str(est)])
+        main(["gen-frame", "-M", M, "-k", k, "-o", str(other)])
+        capsys.readouterr()
+        code = main(
+            [
+                "oracle", "-f", str(other), "--k-min", "12", "--check",
+                str(est), "-o", str(tmp_path / "oracle.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "4x12 frame" in err
+        assert "Traceback" not in err
+
+
+class TestMalformedInput:
+    """Unparseable input files exit 2 with a message naming the file."""
+
+    @pytest.fixture()
+    def estimate_csv(self, frame_file, tmp_path):
+        path = tmp_path / "bounds.csv"
+        main(["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+              "-o", str(path)])
+        return path
+
+    def assert_refused(self, argv, path, capsys):
+        capsys.readouterr()
+        assert main(argv) == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_non_numeric_frame_entry(self, frame_file, tmp_path, capsys):
+        lines = frame_file.read_text().splitlines()
+        lines[1] = "1 0 0 x"
+        frame_file.write_text("\n".join(lines) + "\n")
+        argv = ["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                "-o", str(tmp_path / "x.csv")]
+        self.assert_refused(argv, frame_file, capsys)
+
+    @pytest.mark.parametrize(
+        "line, text",
+        [
+            (0, '# {"M": 4'),
+            (0, '# {"M": 4, "epsilon_sq": 0.5}'),
+            (2, "1,0.5,x,0,0,0,0"),
+            (2, "1,0.5"),
+        ],
+        ids=[
+            "truncated_header", "header_without_N", "non_numeric_cell",
+            "short_row",
+        ],
+    )
+    def test_malformed_bounds_csv(
+        self, estimate_csv, tmp_path, capsys, line, text
+    ):
+        lines = estimate_csv.read_text().splitlines()
+        lines[line] = text
+        estimate_csv.write_text("\n".join(lines) + "\n")
+        argv = ["report", "--estimate", str(estimate_csv),
+                "-o", str(tmp_path / "merged.csv")]
+        self.assert_refused(argv, estimate_csv, capsys)
+
+    def test_non_numeric_oracle_csv(self, estimate_csv, tmp_path, capsys):
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text("K,alpha,beta\n12,3.0,oops\n")
+        argv = ["report", "--estimate", str(estimate_csv), "--oracle",
+                str(oracle), "-o", str(tmp_path / "merged.csv")]
+        self.assert_refused(argv, oracle, capsys)
 
 
 class TestReport:
