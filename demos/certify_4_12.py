@@ -18,6 +18,7 @@ from nerfcert import (
     min_spanning_K,
     orbit_signed_permutations,
     pruned_cardinality,
+    require_certifiable,
     sweep_all_K,
     verify_untf,
 )
@@ -26,6 +27,7 @@ from nerfcert import (
 def main():
     spec = GeneratorSpec(4, 2)
     frame = orbit_signed_permutations(spec)
+    require_certifiable(frame)
     report = verify_untf(frame)
     print(f"frame: {frame.M} x {frame.N}, redundancy {frame.N / frame.M}")
     print(f"tightness defect: {report.frobenius_defect:.2e}")

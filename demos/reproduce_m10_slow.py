@@ -28,12 +28,14 @@ from nerfcert import (
     certify,
     min_spanning_K,
     orbit_signed_permutations,
+    require_certifiable,
     sweep_all_K,
 )
 
 
 def main():
     frame = orbit_signed_permutations(GeneratorSpec(10, 5))
+    require_certifiable(frame)
     config = NetConfig.create(10, 0.25)
     print(f"frame: 10 x {frame.N}; net: L = {config.L}, "
           f"{config.cardinality} step points before pruning")

@@ -18,12 +18,14 @@ from nerfcert import (
     condition_number_bound,
     min_spanning_K,
     orbit_signed_permutations,
+    require_certifiable,
     sweep_all_K,
 )
 
 
 def main():
     frame = orbit_signed_permutations(GeneratorSpec(6, 3))
+    require_certifiable(frame)
     config = NetConfig.create(6, 0.25)
     print(f"frame: 6 x {frame.N}; net: L = {config.L}, "
           f"{config.cardinality} step points before pruning")

@@ -19,12 +19,14 @@ from nerfcert import (
     condition_number_bound,
     min_spanning_K,
     orbit_signed_permutations,
+    require_certifiable,
     sweep_all_K,
 )
 
 
 def main():
     frame = orbit_signed_permutations(GeneratorSpec(8, 4))
+    require_certifiable(frame)
     config = NetConfig.create(8, 0.25)
     print(f"frame: 8 x {frame.N}; net: L = {config.L}, "
           f"{config.cardinality} step points before pruning")

@@ -13,14 +13,12 @@ from .epsnet import (
     NetConfig,
     StepPoint,
     delta_for,
-    enumerate_net,
     min_levels,
     net_cardinality,
     prune_check,
     pruned_cardinality,
     quantize_step,
     verify_covering,
-    volumetric_bound,
 )
 from .frames import (
     FrameMatrix,
@@ -28,6 +26,7 @@ from .frames import (
     canonicalize,
     orbit_signed_permutations,
     read_frame,
+    require_certifiable,
     verify_group_invariance,
     verify_untf,
     write_frame,

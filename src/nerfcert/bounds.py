@@ -162,12 +162,11 @@ def sweep_all_K(
     """One pass over the net filling alpha_eps, then beta_eps by duality.
 
     The caller is responsible for the frame being signed-permutation
-    invariant and unit-norm (see frames.verify_group_invariance and
-    frames.verify_untf); only then do sector net points certify anything
-    about the whole sphere, and only then is the frame tight (Schur's
-    lemma: the group is irreducible), which beta_eps[K] = N/M -
-    alpha_eps[N-K] needs.  beta_eps[N] is N/M exactly, with witness rank
-    0: every point attains the empty complement.
+    invariant and unit-norm (frames.require_certifiable checks); only then
+    do sector net points certify anything about the whole sphere, and only
+    then is the frame tight (Schur's lemma: the group is irreducible),
+    which beta_eps[K] = N/M - alpha_eps[N-K] needs.  beta_eps[N] is N/M
+    exactly, with witness rank 0: every point attains the empty complement.
 
     One loop at every thread count: batches of chunk_rows(N) points, cut
     from the walker's blocks, go through a FIFO window with 4*threads in
@@ -331,13 +330,13 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
 
 def read_bounds_csv(path) -> BoundsTable:
     """Read a CSV written by :func:`write_bounds_csv`."""
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("# "):
-            raise InvalidInputError(f"{path}: missing JSON header line")
-        fh.readline()  # column header
-        rows = [line.split(",") for line in fh if line.strip()]
     try:
+        with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
+            first = fh.readline()
+            fh.readline()  # column header
+            rows = [line.split(",") for line in fh if line.strip()]
+        if not first.startswith("# "):
+            raise ValueError("missing JSON header line")
         meta = json.loads(first[2:])
         m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
         cols = np.array([[float(v) for v in row] for row in rows])

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-frame, build-net, estimate, oracle, report.  Exit codes:
-0 success, 2 usage or I/O failure (``estimate`` also exits 2 on a frame
-that is not signed-permutation invariant, unit norm and tight), 3 infeasible
-budget, 4 internal invariant violation.  Progress goes to stderr only;
-piped CSV stays clean.
+0 success, 2 usage or I/O failure (an input file that is not UTF-8 or does
+not parse, or an ``estimate`` frame that is not signed-permutation
+invariant, unit norm and tight), 3 infeasible budget, 4 internal invariant
+violation.  Progress goes to stderr only; piped CSV stays clean.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .frames import (
     GeneratorSpec,
     orbit_signed_permutations,
     read_frame,
-    verify_group_invariance,
+    require_certifiable,
     verify_untf,
     write_frame,
 )
@@ -73,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-net", help="net summary report (JSON)")
     p.add_argument("-M", type=int, required=True)
     p.add_argument("--eps-sq", type=float, required=True)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("-o", "--output", required=True, help="JSON report path")
 
     p = sub.add_parser("estimate", help="net sweep + certified bounds CSV")
@@ -81,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", type=int, help="dimension (with -k, instead of -f)")
     p.add_argument("-k", type=int, help="generator support size")
     p.add_argument("--eps-sq", type=float, required=True)
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument(
         "--cap-mode",
         choices=CAP_MODES,
@@ -125,16 +123,14 @@ def _cmd_gen_frame(args) -> int:
 
 
 def _cmd_build_net(args) -> int:
-    config = NetConfig.create(args.M, args.eps_sq, pruned=not args.no_prune)
+    config = NetConfig.create(args.M, args.eps_sq)
     payload = {
         "M": config.M,
         "epsilon_sq": config.epsilon_sq,
         "L": config.L,
         "delta": f"{config.delta:.17g}",
         "cardinality_full": str(config.cardinality),
-        "cardinality_pruned": None
-        if args.no_prune
-        else pruned_cardinality(config),
+        "cardinality_pruned": pruned_cardinality(config),
         "volumetric_bound_log10": volumetric_bound_log(
             config.M, config.epsilon
         )
@@ -151,21 +147,8 @@ def _cmd_build_net(args) -> int:
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     frame = _load_frame(args)
-    # The sweep certifies, and derives beta_eps by duality, only for
-    # invariant unit norm tight frames.  Invariance within INVARIANCE_TOL
-    # does not bound the frame-operator defect; the tightness test does.
-    if not verify_group_invariance(frame):
-        raise InvalidInputError(
-            "frame is not invariant under signed permutations"
-        )
-    untf = verify_untf(frame)
-    if not untf.is_unit_norm:
-        raise InvalidInputError("frame columns are not unit norm")
-    if not untf.is_tight:
-        raise InvalidInputError(
-            f"frame is not tight (defect {untf.frobenius_defect:.3g})"
-        )
-    config = NetConfig.create(frame.M, args.eps_sq, pruned=not args.no_prune)
+    require_certifiable(frame)
+    config = NetConfig.create(frame.M, args.eps_sq)
     t1 = time.perf_counter()
     table = sweep_all_K(
         frame, config, threads=args.threads, progress=True
@@ -190,7 +173,6 @@ def _cmd_estimate(args) -> int:
                 "epsilon_sq": args.eps_sq,
                 "L": config.L,
                 "delta": f"{config.delta:.17g}",
-                "pruned": not args.no_prune,
                 "cap_mode": args.cap_mode,
                 "threads": resolve_threads(args.threads),
                 "frame_file": args.frame,
@@ -198,9 +180,7 @@ def _cmd_estimate(args) -> int:
             "counts": {
                 "net_cardinality_full": str(config.cardinality),
                 "net_points_used": table.net_points_used,
-                "points_skipped": None
-                if args.no_prune
-                else config.cardinality - table.net_points_used,
+                "points_skipped": config.cardinality - table.net_points_used,
                 "chunk_rows": chunk_rows(frame.N),
             },
             "timings_s": {
@@ -236,8 +216,9 @@ def _cmd_oracle(args) -> int:
                 f"but {args.frame} is {frame.M}x{frame.N}"
             )
         if not table.certified:
-            print("estimate CSV carries no certified bounds", file=sys.stderr)
-            return EXIT_USAGE_IO
+            raise InvalidInputError(
+                f"{args.check}: estimate CSV carries no certified bounds"
+            )
     results = exact_bounds_all_K(
         frame, k_min=args.k_min, k_max=args.k_max, budget=args.budget
     )

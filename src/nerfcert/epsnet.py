@@ -5,26 +5,24 @@ A net point is a nondecreasing step function on {1,..,M} with values in
 {delta^l : l = 0..L-1}, normalized to unit length.  Exponentially spaced
 levels make the rounded-up quantization of any sector point land within
 chordal distance epsilon, once L satisfies the level-count inequality of
-:func:`min_levels`.  The net is enumerated as integer compositions of M
-into L nonnegative parts (stars and bars), optionally restricted by two
-necessary pruning conditions that every rounded-up quantization obeys.
+:func:`min_levels`.  The net is the compositions of M into L nonnegative
+parts (stars and bars) that pass two necessary pruning conditions every
+rounded-up quantization obeys.  Its one representation is the rows of
+ascending level exponents that :func:`_level_arrays` walks; the sweep
+scores them and :class:`StepPoint` wraps one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import fsum
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    LevelSearchOverflowError,
-)
+from .errors import InvalidInputError, LevelSearchOverflowError
 
 LEVEL_SEARCH_CAP = 10**6
 
@@ -43,8 +41,6 @@ __all__ = [
     "pruned_cardinality",
     "quantize_step",
     "prune_check",
-    "enumerate_net",
-    "volumetric_bound",
     "verify_covering",
 ]
 
@@ -103,24 +99,11 @@ class NetConfig:
     epsilon_sq: float
     L: int
     delta: float
-    pruned: bool = True
 
     @classmethod
-    def create(
-        cls, M: int, epsilon_sq: float, pruned: bool = True
-    ) -> "NetConfig":
-        if not 0.0 < epsilon_sq < 1.0:
-            raise InvalidConfigError(
-                f"epsilon_sq must lie in (0,1), got {epsilon_sq}"
-            )
-        L = min_levels(M, epsilon_sq)
-        return cls(
-            M=M,
-            epsilon_sq=epsilon_sq,
-            L=L,
-            delta=delta_for(M, L),
-            pruned=pruned,
-        )
+    def create(cls, M: int, epsilon_sq: float) -> "NetConfig":
+        L = min_levels(M, epsilon_sq)  # validates M and epsilon_sq
+        return cls(M=M, epsilon_sq=epsilon_sq, L=L, delta=delta_for(M, L))
 
     @property
     def epsilon(self) -> float:
@@ -141,12 +124,12 @@ class NetConfig:
 class StepPoint:
     """One net element.
 
-    ``exponents`` is the nonincreasing level profile eta(1..M), so the
-    pre-normalized values psi_hat(m) = delta^eta(m) are nondecreasing.
+    ``levels`` is a walker row: the level exponents in ascending order, so
+    entry M comes first.  ``psi`` is that row's unit-norm point reversed
+    into the sector's nondecreasing order.
     """
 
-    exponents: tuple
-    psi_hat: np.ndarray
+    levels: tuple
     psi: np.ndarray
 
     @classmethod
@@ -154,17 +137,17 @@ class StepPoint:
         cls, levels: Sequence[int], config: NetConfig
     ) -> "StepPoint":
         """Build from level exponents sorted ascending (entry M first)."""
-        exponents = tuple(reversed(levels))
-        psi_hat = config.level_powers[list(exponents)]
+        levels = tuple(levels)
         psi = _psi_from_levels(np.array([levels]), config)[0, ::-1]
-        return cls(exponents, psi_hat, psi)
+        return cls(levels, psi)
 
 
 def _psi_from_levels(levels: np.ndarray, config: NetConfig) -> np.ndarray:
     """Unit-norm net points, one row per row of ascending level exponents.
 
-    The one psi construction: the sweep scores these rows and StepPoint
-    reverses one, so a rebuilt witness is bitwise the vector swept.
+    The one psi construction: the sweep and :func:`verify_covering` score
+    these rows and StepPoint reverses one, so a rebuilt witness is bitwise
+    the vector swept.
     """
     psi = config.level_powers[levels]
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -184,15 +167,14 @@ def quantize_step(x: np.ndarray, config: NetConfig) -> StepPoint:
         raise InvalidInputError("input must be nonnegative and nondecreasing")
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise InvalidInputError("input must have unit norm")
-    exponents = _quantize_exponents(x[None, :], config)[0]
-    # exponents are nonincreasing; ascending order is the reverse.
-    return StepPoint.from_ascending_levels(tuple(exponents[::-1]), config)
+    levels = _quantize_levels(x[None, :], config)[0]
+    return StepPoint.from_ascending_levels(levels.tolist(), config)
 
 
-def _quantize_exponents(X: np.ndarray, config: NetConfig) -> np.ndarray:
-    """Row-wise level exponents for points of the sector (vectorized)."""
+def _quantize_levels(X: np.ndarray, config: NetConfig) -> np.ndarray:
+    """Walker rows (ascending level exponents) quantizing sector points."""
     ascending = config.level_powers[::-1]  # delta^(L-1) .. delta^0 = 1
-    idx = np.searchsorted(ascending, X, side="left")
+    idx = np.searchsorted(ascending, X[:, ::-1], side="left")
     idx = np.minimum(idx, config.L - 1)  # x <= delta^(L-1) clamps to bottom
     return (config.L - 1) - idx
 
@@ -200,20 +182,33 @@ def _quantize_exponents(X: np.ndarray, config: NetConfig) -> np.ndarray:
 def prune_check(step: StepPoint, config: NetConfig) -> bool:
     """Necessary conditions on rounded-up quantizations.
 
+    With psi_hat(m) = delta^level(m) before normalization:
     ||psi_hat||^2 >= 1 and delta^2 * sum of psi_hat(m)^2 over entries
     above the bottom level <= 1.  Comparisons use exactly rounded sums
     with no tolerance slack; boundary points are kept.
     """
-    sq = (config.level_powers**2).tolist()
-    dsq = config.delta * config.delta
-    return _leaf_passes(step.exponents, sq, config.L - 1, dsq)
+    return _leaf_passes(step.levels, config)
 
 
-def _leaf_passes(levels, sq, bottom, dsq) -> bool:
+def _leaf_passes(levels, config: NetConfig) -> bool:
     """Canonical prune test for one level tuple (any order)."""
+    sq = config.level_powers**2
     norm_sq = fsum(sq[l] for l in levels)
-    top_sq = fsum(sq[l] for l in levels if l < bottom)
-    return norm_sq >= 1.0 and dsq * top_sq <= 1.0
+    top_sq = fsum(sq[l] for l in levels if l < config.L - 1)
+    return norm_sq >= 1.0 and config.delta * config.delta * top_sq <= 1.0
+
+
+def _leaf_mask(levels: np.ndarray, s, top, config: NetConfig) -> np.ndarray:
+    """:func:`_leaf_passes` on rows of levels with masses s and top masses
+    summed in any order: rounding cannot decide, since rows within
+    _BB_MARGIN of either boundary are re-checked with exact sums."""
+    dsq = config.delta * config.delta
+    keep = (s >= 1.0) & (dsq * top <= 1.0)
+    near = np.abs(s - 1.0) <= _BB_MARGIN
+    near |= np.abs(dsq * top - 1.0) <= _BB_MARGIN
+    for i in np.flatnonzero(near).tolist():
+        keep[i] = _leaf_passes(levels[i].tolist(), config)
+    return keep
 
 
 def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
@@ -221,15 +216,15 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
     rows of integer arrays.
 
     A frontier of prefixes grows one entry at a time, children in level
-    order after their parent.  Pruned nets are a branch-and-bound: a node
+    order after their parent.  The walk is a branch-and-bound: a node
     dies once its top-level mass exceeds the cap, its children stop where
     even all t remaining entries at that level cannot reach unit mass, and
-    leaves near either boundary are re-checked with exactly rounded sums.
+    leaves pass :func:`_leaf_mask`.
     Masses are summed in prefix order, the floats of a per-point walk.
     Frontiers are cut into slices of about _SLICE_NODES children, walked
     depth first from a stack, so memory stays bounded.
     """
-    M, L, pruned = config.M, config.L, config.pruned
+    M, L = config.M, config.L
     dtype = np.int16 if L <= np.iinfo(np.int16).max else np.int32
     sq = config.level_powers**2
     sq_top = np.append(sq[:-1], 0.0)  # the bottom level adds no top mass
@@ -240,30 +235,21 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
         prefix, lmin, s, top = stack.pop()
         t = M - prefix.shape[1]
         if t == 0:
-            if pruned:
-                keep = (s >= 1.0) & (dsq * top <= 1.0)
-                near = np.abs(s - 1.0) <= _BB_MARGIN
-                near |= np.abs(dsq * top - 1.0) <= _BB_MARGIN
-                for i in np.flatnonzero(near).tolist():
-                    keep[i] = _leaf_passes(prefix[i].tolist(), sq, L - 1, dsq)
-                prefix = prefix[keep]
+            prefix = prefix[_leaf_mask(prefix, s, top, config)]
             if len(prefix):
                 yield prefix
             continue
-        if pruned:
-            alive = top <= 1.0 / dsq + _BB_MARGIN
-            prefix, lmin, s, top = (a[alive] for a in (prefix, lmin, s, top))
-            # Bisect for the first level k with s + t*sq[k] < 1 - margin;
-            # the test is monotone in the level, so children are lmin..k-1.
-            lo, hi = np.zeros_like(lmin), np.full_like(lmin, L)
-            tsq = np.append(t * sq, -np.inf)
-            for _ in range(L.bit_length()):
-                mid = (lo + hi) // 2
-                reach = s + tsq[mid] >= 1.0 - _BB_MARGIN
-                lo, hi = np.where(reach, mid + 1, lo), np.where(reach, hi, mid)
-            counts = np.maximum(lo - lmin, 0)
-        else:
-            counts = L - lmin
+        alive = top <= 1.0 / dsq + _BB_MARGIN
+        prefix, lmin, s, top = (a[alive] for a in (prefix, lmin, s, top))
+        # Bisect for the first level k with s + t*sq[k] < 1 - margin;
+        # the test is monotone in the level, so children are lmin..k-1.
+        lo, hi = np.zeros_like(lmin), np.full_like(lmin, L)
+        tsq = np.append(t * sq, -np.inf)
+        for _ in range(L.bit_length()):
+            mid = (lo + hi) // 2
+            reach = s + tsq[mid] >= 1.0 - _BB_MARGIN
+            lo, hi = np.where(reach, mid + 1, lo), np.where(reach, hi, mid)
+        counts = np.maximum(lo - lmin, 0)
         first = np.cumsum(counts) - counts
         cuts = np.flatnonzero(np.diff(first // _SLICE_NODES)) + 1
         if len(cuts):  # push the slices so that the first is walked first
@@ -280,32 +266,13 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
 
 def pruned_cardinality(config: NetConfig) -> int:
     """Exact number of net points passing :func:`prune_check`."""
-    return sum(len(a) for a in _level_arrays(replace(config, pruned=True)))
-
-
-def enumerate_net(config: NetConfig) -> Iterator[StepPoint]:
-    """Stream the net points in a fixed deterministic order.
-
-    Points are visited in lexicographic order of the ascending
-    level-exponent tuple.  With ``config.pruned`` only points passing
-    :func:`prune_check` are yielded.
-    """
-    for levels in _level_arrays(config):
-        for row in levels.tolist():
-            yield StepPoint.from_ascending_levels(row, config)
-
-
-def volumetric_bound(M: int, epsilon: float) -> float:
-    """Volumetric cover-size bound (1/M!)(M + sqrt(M)/eps)^M.
-
-    Diagnostic only; evaluated in logs to dodge overflow and exponentiated
-    at the end.
-    """
-    return math.exp(volumetric_bound_log(M, epsilon))
+    return sum(len(a) for a in _level_arrays(config))
 
 
 def volumetric_bound_log(M: int, epsilon: float) -> float:
-    """Natural log of :func:`volumetric_bound`."""
+    """Natural log of the volumetric cover-size bound
+    (1/M!)(M + sqrt(M)/eps)^M; diagnostic only, in logs to dodge overflow.
+    """
     if M < 1 or epsilon <= 0:
         raise InvalidInputError(f"need M >= 1 and epsilon > 0")
     return M * math.log(M + math.sqrt(M) / epsilon) - math.lgamma(M + 1)
@@ -337,18 +304,16 @@ def verify_covering(
     X = np.abs(X)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     X.sort(axis=1)  # canonical sector representatives
-    exponents = _quantize_exponents(X, config)
-    psi_hat = config.level_powers[exponents]
-    norms = np.linalg.norm(psi_hat, axis=1)
-    inner = np.einsum("ij,ij->i", X, psi_hat) / norms
+    levels = _quantize_levels(X, config)
+    psi = _psi_from_levels(levels, config)[:, ::-1]
+    inner = np.einsum("ij,ij->i", X, psi)
     threshold = math.sqrt(1.0 - config.epsilon_sq)
     failures = int(np.sum(inner < threshold))
 
-    sq_rows = psi_hat**2
-    norm_sq = sq_rows.sum(axis=1)
-    top_sq = np.where(exponents < config.L - 1, sq_rows, 0.0).sum(axis=1)
-    dsq = config.delta * config.delta
-    prune_failures = int(np.sum(~((norm_sq >= 1.0) & (dsq * top_sq <= 1.0))))
+    sq_rows = config.level_powers[levels] ** 2
+    top = np.where(levels < config.L - 1, sq_rows, 0.0).sum(axis=1)
+    keep = _leaf_mask(levels, sq_rows.sum(axis=1), top, config)
+    prune_failures = int(np.sum(~keep))
 
     return CoveringReport(
         trials=trials,

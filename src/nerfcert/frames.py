@@ -29,6 +29,7 @@ __all__ = [
     "orbit_signed_permutations",
     "verify_untf",
     "verify_group_invariance",
+    "require_certifiable",
     "canonicalize",
     "read_frame",
     "write_frame",
@@ -171,6 +172,24 @@ def verify_group_invariance(frame: FrameMatrix) -> bool:
     return True
 
 
+def require_certifiable(frame: FrameMatrix) -> None:
+    """Raise InvalidInputError unless the frame is invariant, unit norm
+    and tight, the frames the sweep certifies.  Invariance within
+    INVARIANCE_TOL does not bound the frame-operator defect; the tightness
+    test does."""
+    if not verify_group_invariance(frame):
+        raise InvalidInputError(
+            "frame is not invariant under signed permutations"
+        )
+    untf = verify_untf(frame)
+    if not untf.is_unit_norm:
+        raise InvalidInputError("frame columns are not unit norm")
+    if not untf.is_tight:
+        raise InvalidInputError(
+            f"frame is not tight (defect {untf.frobenius_defect:.3g})"
+        )
+
+
 def canonicalize(x: np.ndarray) -> np.ndarray:
     """Map x to its signed-permutation-orbit representative.
 
@@ -193,17 +212,17 @@ def write_frame(frame: FrameMatrix, path) -> None:
 
 def read_frame(path) -> FrameMatrix:
     """Read the plain-text frame format, rejecting mismatched counts."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InvalidInputError(f"{path}: expected header 'M N'")
-        try:
-            m, n = int(header[0]), int(header[1])
+    try:
+        with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
+            header = fh.readline().split()
             rows = [
                 [float(v) for v in line.split()] for line in fh if line.strip()
             ]
-        except ValueError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
+        if len(header) != 2:
+            raise ValueError("expected header 'M N'")
+        m, n = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
     for vals in rows:
         if len(vals) != m:
             raise InvalidInputError(

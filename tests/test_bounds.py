@@ -11,10 +11,10 @@ from nerfcert import (
     FrameMatrix,
     GeneratorSpec,
     NetConfig,
+    StepPoint,
     bounds,
     certify,
     condition_number_bound,
-    enumerate_net,
     epsnet,
     exact_bounds_all_K,
     min_spanning_K,
@@ -35,6 +35,12 @@ from nerfcert.errors import (
     InvalidInputError,
     InvariantViolationError,
 )
+
+
+def net_points(config):
+    """Every net point in rank order, rebuilt from the walker's rows."""
+    rows = np.concatenate(list(epsnet._level_arrays(config))).tolist()
+    return [StepPoint.from_ascending_levels(row, config) for row in rows]
 
 
 def swept_counts(err):
@@ -182,16 +188,8 @@ class TestSweep:
         swept = np.vstack([
             rows for rows, _ in bounds._net_psi_chunks(config, chunk_rows(12))
         ])
-        rebuilt = np.vstack([p.psi[::-1] for p in enumerate_net(config)])
+        rebuilt = np.vstack([p.psi[::-1] for p in net_points(config)])
         assert np.array_equal(swept, rebuilt)
-
-    def test_unpruned_net_sweeps_every_point(self, frame_4_12):
-        full = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25, pruned=False))
-        pruned = sweep_all_K(frame_4_12, NetConfig.create(4, 0.25))
-        assert full.net_points_used == 7315
-        # A superset of the pruned points: extrema can only widen.
-        assert np.all(full.alpha_eps <= pruned.alpha_eps)
-        assert np.all(full.beta_eps >= pruned.beta_eps)
 
     def test_missing_witness_rejected(self, frame_4_12, monkeypatch):
         kernel = bounds._chunk_accumulate
@@ -214,7 +212,7 @@ class TestSweep:
 
     def test_beta_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
         config = NetConfig.create(4, 0.5)
-        points = list(enumerate_net(config))
+        points = net_points(config)
         for k in (1, 6, 9, 12):
             r = int(table_4_12.argmax_r[k - 1])
             vals = sorted_squared_correlations(frame_4_12, points[r].psi)
@@ -226,7 +224,7 @@ class TestSweep:
 
     def test_witness_point_reproduces_bound(self, frame_4_12, table_4_12):
         config = NetConfig.create(4, 0.5)
-        points = list(enumerate_net(config))
+        points = net_points(config)
         for k in (7, 9, 12):
             r = int(table_4_12.argmin_r[k - 1])
             vals = sorted_squared_correlations(frame_4_12, points[r].psi)

@@ -8,6 +8,7 @@ import pytest
 from nerfcert import (
     FrameMatrix,
     GeneratorSpec,
+    NetConfig,
     bounds,
     orbit_signed_permutations,
     verify_group_invariance,
@@ -64,18 +65,6 @@ class TestBuildNet:
         assert payload["L"] == 6
         assert payload["cardinality_full"] == "126"
         assert isinstance(payload["cardinality_pruned"], int)
-
-    def test_no_prune(self, tmp_path):
-        path = tmp_path / "net.json"
-        main(
-            [
-                "build-net", "-M", "4", "--eps-sq", "0.25",
-                "--no-prune", "-o", str(path),
-            ]
-        )
-        payload = json.loads(path.read_text())
-        assert payload["L"] == 19
-        assert payload["cardinality_pruned"] is None
 
 
 class TestEstimate:
@@ -346,6 +335,22 @@ class TestOracle:
         assert err.startswith("error:") and "4x12 frame" in err
         assert "Traceback" not in err
 
+    def test_uncertified_check_refused(self, frame_file, tmp_path, capsys):
+        est = tmp_path / "uncertified.csv"
+        frame = orbit_signed_permutations(GeneratorSpec(4, 2))
+        table = bounds.sweep_all_K(frame, NetConfig.create(4, 0.5))
+        bounds.write_bounds_csv(table, est)
+        code = main(
+            [
+                "oracle", "-f", str(frame_file), "--k-min", "12", "--check",
+                str(est), "-o", str(tmp_path / "oracle.csv"),
+            ]
+        )
+        assert code == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(est) in err
+        assert "Traceback" not in err
+
 
 class TestMalformedInput:
     """Unparseable input files exit 2 with a message naming the file."""
@@ -371,6 +376,29 @@ class TestMalformedInput:
         argv = ["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
                 "-o", str(tmp_path / "x.csv")]
         self.assert_refused(argv, frame_file, capsys)
+
+    def test_non_utf8_frame(self, frame_file, tmp_path, capsys):
+        lines = frame_file.read_bytes().splitlines(keepends=True)
+        lines[1] = b"\xff" + lines[1]
+        frame_file.write_bytes(b"".join(lines))
+        argv = ["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                "-o", str(tmp_path / "x.csv")]
+        self.assert_refused(argv, frame_file, capsys)
+
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    def test_non_utf8_bounds_csv(
+        self, frame_file, estimate_csv, tmp_path, capsys, command
+    ):
+        lines = estimate_csv.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        estimate_csv.write_bytes(b"".join(lines))
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "oracle": ["oracle", "-f", str(frame_file), "--k-min", "12",
+                       "--check", str(estimate_csv), "-o", out],
+            "report": ["report", "--estimate", str(estimate_csv), "-o", out],
+        }[command]
+        self.assert_refused(argv, estimate_csv, capsys)
 
     @pytest.mark.parametrize(
         "line, text",

@@ -11,14 +11,12 @@ from nerfcert import (
     NetConfig,
     StepPoint,
     delta_for,
-    enumerate_net,
     min_levels,
     net_cardinality,
     prune_check,
     pruned_cardinality,
     quantize_step,
     verify_covering,
-    volumetric_bound,
 )
 from nerfcert.epsnet import _level_arrays, volumetric_bound_log
 from nerfcert.errors import InvalidInputError
@@ -91,34 +89,26 @@ class TestCardinality:
         assert net_cardinality(6, 21) == 230230
         assert net_cardinality(8, 22) == 4292145
 
-    def test_enumeration_matches_count(self):
-        for M, eps_sq in ((2, 0.5), (3, 0.5), (4, 0.5)):
-            config = NetConfig.create(M, eps_sq, pruned=False)
-            points = list(enumerate_net(config))
-            assert len(points) == config.cardinality
-
-    def test_pruned_enumeration_matches_pruned_count(self):
-        for M, eps_sq in ((3, 0.5), (4, 0.5), (4, 0.25)):
-            config = NetConfig.create(M, eps_sq)
-            points = list(enumerate_net(config))
-            assert len(points) == pruned_cardinality(config)
-
     def test_pruned_enumeration_agrees_with_filter(self):
         # The branch-and-bound walk, cutting whole subtrees, must keep
-        # exactly the points the direct per-point test keeps.
+        # exactly the ascending level tuples the per-point test keeps, in
+        # lexicographic order.
         for M, eps_sq in ((4, 0.25), (3, 0.1), (5, 0.25), (5, 0.5)):
             config = NetConfig.create(M, eps_sq)
             direct = [
-                p
-                for p in enumerate_net(
-                    NetConfig.create(M, eps_sq, pruned=False)
+                levels
+                for levels in combinations_with_replacement(range(config.L), M)
+                if prune_check(
+                    StepPoint.from_ascending_levels(levels, config), config
                 )
-                if prune_check(p, config)
             ]
-            walked = list(enumerate_net(config))
-            assert len(walked) == len(direct)
-            for a, b in zip(walked, direct):
-                assert a.exponents == b.exponents
+            walked = [
+                tuple(row)
+                for rows in _level_arrays(config)
+                for row in rows.tolist()
+            ]
+            assert walked == direct
+            assert pruned_cardinality(config) == len(direct)
             assert len(walked) < config.cardinality
 
 
@@ -126,28 +116,24 @@ class TestNetOrder:
     # Witness ranks index the net, so its order is part of the output:
     # the count and sha256 of the int16 level tuples must not move.
     PINNED = {
-        (4, 2**-5, True): (
+        (4, 2**-5): (
             2366921,
             "8a40daaf6ec1ae8f50228f90368cea5de2ec2fa9ba83e68eef68c32aa8a45d77",
         ),
-        (8, 0.25, True): (
+        (8, 0.25): (
             503486,
             "b7c9118cdb0c86f4834d29102810f6588bea3bbcdad9508890ce4295a14cc23a",
         ),
-        (10, 0.45, True): (
+        (10, 0.45): (
             12614,
             "73132bc832357ab01cc154982eee269b6e99be64ed647aa36b5db7ae12593d3d",
-        ),
-        (4, 0.25, False): (
-            7315,
-            "947dd4a0ccc54a612ea4dcd6c7abfe5f293dafa92e7025d9686b24ffc349e9ee",
         ),
     }
 
     @pytest.mark.parametrize("key", list(PINNED))
     def test_level_tuples_pinned(self, key):
-        M, eps_sq, pruned = key
-        config = NetConfig.create(M, eps_sq, pruned=pruned)
+        M, eps_sq = key
+        config = NetConfig.create(M, eps_sq)
         levels = np.concatenate(list(_level_arrays(config)))
         count, digest = self.PINNED[key]
         assert levels.dtype == np.int16
@@ -158,7 +144,9 @@ class TestNetOrder:
 class TestStepPoint:
     def test_unit_norm(self):
         config = NetConfig.create(4, 0.5)
-        for point in enumerate_net(config):
+        for row in np.concatenate(list(_level_arrays(config))).tolist():
+            point = StepPoint.from_ascending_levels(row, config)
+            assert point.levels == tuple(row)
             assert math.isclose(np.dot(point.psi, point.psi), 1.0,
                                 rel_tol=1e-12)
             assert np.all(np.diff(point.psi) >= 0)
@@ -177,14 +165,16 @@ class TestQuantize:
         x = x / np.linalg.norm(x)
         point = quantize_step(x, config)
         # Each entry is covered from above by its assigned level.
-        assert np.all(point.psi_hat >= x - 1e-12)
+        psi_hat = config.level_powers[list(point.levels)][::-1]
+        assert np.all(psi_hat >= x - 1e-12)
 
     def test_below_bottom_level_clamps(self):
         config = NetConfig.create(4, 0.5)
         x = np.array([1e-9, 1e-6, 0.5, 0.5])
         x = np.sort(x / np.linalg.norm(x))
         point = quantize_step(x, config)
-        assert point.exponents[0] == config.L - 1
+        # The smallest entry, x(1), is the last of the ascending levels.
+        assert point.levels[-1] == config.L - 1
 
     def test_rejects_unsorted(self):
         config = NetConfig.create(4, 0.5)
@@ -238,19 +228,15 @@ class TestCovering:
 
 
 class TestVolumetricBound:
-    def test_log_consistency(self):
-        for M in (3, 4, 6):
-            direct = volumetric_bound(M, 0.5)
-            via_log = math.exp(volumetric_bound_log(M, 0.5))
-            assert math.isclose(direct, via_log, rel_tol=1e-9)
-
     def test_net_beats_volumetric_growth(self):
         # Step nets grow subexponentially in M at fixed epsilon while
         # the volumetric bound grows exponentially; check the crossover
         # direction at a moderate size.
         M, eps_sq = 10, 0.5
         L = min_levels(M, eps_sq)
-        assert net_cardinality(M, L) < volumetric_bound(M, math.sqrt(eps_sq))
+        assert math.log(net_cardinality(M, L)) < volumetric_bound_log(
+            M, math.sqrt(eps_sq)
+        )
 
 
 class TestAgainstBruteForce:
