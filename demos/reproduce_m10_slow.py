@@ -16,8 +16,8 @@ rates.sweep_points_per_s of about 15100 on one thread and 20900 on two,
 on a 2-vCPU VM with one BLAS thread.  At those rates the 5868677 points
 here take about 6.5 minutes on one thread and 4.7 on two; walking the
 net itself adds under two seconds.
-Progress is printed every hundred thousand net points.  Thread count
-comes from NERF_CERT_THREADS or the CPU count.
+Progress is printed every hundred thousand net points, and the sweep
+runs on one thread per CPU.
 """
 
 import time

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .epsnet import NetConfig, _level_arrays, _psi_from_levels
-from .errors import InvalidConfigError, InvalidInputError, InvariantViolationError
+from .errors import InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
 _CHUNK_BYTES = 4 * 2**20  # per rows x N float64 temporary; see chunk_rows
@@ -137,20 +137,10 @@ def _run_now(fn, *args) -> Future:
 
 
 def resolve_threads(threads: int) -> int:
-    """0 means auto: NERF_CERT_THREADS if set, else the CPU count."""
+    """0 means auto: the CPU count."""
     if threads < 0:
-        raise InvalidConfigError(f"threads must be >= 0, got {threads}")
-    if threads:
-        return threads
-    env = os.environ.get("NERF_CERT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise InvalidConfigError(
-                f"NERF_CERT_THREADS must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
+        raise InvalidInputError(f"threads must be >= 0, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
 def sweep_all_K(
@@ -250,11 +240,11 @@ def certify(table: BoundsTable, cap_mode: str = "combined") -> BoundsTable:
     may be negative, meaning no lower certificate at that K.
     """
     if not 0.0 < table.epsilon_sq < 1.0:
-        raise InvalidConfigError(
+        raise InvalidInputError(
             f"epsilon_sq must lie in (0,1), got {table.epsilon_sq}"
         )
     if cap_mode not in CAP_MODES:
-        raise InvalidConfigError(f"unknown cap_mode {cap_mode!r}")
+        raise InvalidInputError(f"unknown cap_mode {cap_mode!r}")
     eps_sq = table.epsilon_sq
     scale = 1.0 / (1.0 - eps_sq)
     redundancy = table.N / table.M
@@ -339,6 +329,8 @@ def read_bounds_csv(path) -> BoundsTable:
             raise ValueError("missing JSON header line")
         meta = json.loads(first[2:])
         m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
+        if not all(type(v) is int and v > 0 for v in (m, n)):
+            raise ValueError(f"M and N must be positive integers, got {m}, {n}")
         cols = np.array([[float(v) for v in row] for row in rows])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInputError(

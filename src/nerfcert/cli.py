@@ -48,7 +48,12 @@ from .frames import (
     verify_untf,
     write_frame,
 )
-from .oracle import DEFAULT_BUDGET, exact_bounds_all_K, write_oracle_csv
+from .oracle import (
+    DEFAULT_BUDGET,
+    exact_bounds_all_K,
+    read_oracle_csv,
+    write_oracle_csv,
+)
 
 EXIT_OK = 0
 EXIT_USAGE_IO = 2
@@ -76,9 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="JSON report path")
 
     p = sub.add_parser("estimate", help="net sweep + certified bounds CSV")
-    p.add_argument("-f", "--frame", help="frame file path")
-    p.add_argument("-M", type=int, help="dimension (with -k, instead of -f)")
-    p.add_argument("-k", type=int, help="generator support size")
+    p.add_argument("-f", "--frame", required=True, help="frame file path")
     p.add_argument("--eps-sq", type=float, required=True)
     p.add_argument(
         "--cap-mode",
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="upper-bound cap fed into the lower certificate: combined = "
         "min(N/M, beta_eps/(1-eps^2)), untf = N/M",
     )
-    p.add_argument("--threads", type=int, default=0, help="0 = auto")
+    p.add_argument("--threads", type=int, default=0, help="0 = CPU count")
     p.add_argument("-o", "--output", required=True, help="bounds CSV path")
     p.add_argument("--report", help="JSON run report path")
 
@@ -104,14 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", help="oracle CSV (optional)")
     p.add_argument("-o", "--output", help="merged CSV (default stdout)")
     return parser
-
-
-def _load_frame(args):
-    if args.frame:
-        return read_frame(args.frame)
-    if args.M is None or args.k is None:
-        raise NerfCertError("give either -f or both -M and -k")
-    return orbit_signed_permutations(GeneratorSpec(args.M, args.k))
 
 
 def _cmd_gen_frame(args) -> int:
@@ -146,7 +141,7 @@ def _cmd_build_net(args) -> int:
 
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
-    frame = _load_frame(args)
+    frame = read_frame(args.frame)
     require_certifiable(frame)
     config = NetConfig.create(frame.M, args.eps_sq)
     t1 = time.perf_counter()
@@ -248,20 +243,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
-    oracle_rows = {}
-    if args.oracle:
-        try:
-            with open(args.oracle) as fh:
-                fh.readline()
-                for line in fh:
-                    parts = line.split(",")
-                    if len(parts) >= 3:
-                        oracle_rows[int(parts[0])] = (
-                            float(parts[1]),
-                            float(parts[2]),
-                        )
-        except ValueError as exc:
-            raise InvalidInputError(f"{args.oracle}: {exc}") from None
+    oracle_rows = read_oracle_csv(args.oracle, est.N) if args.oracle else {}
     lines = [
         "K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper"
     ]

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, LevelSearchOverflowError
+from .errors import InvalidInputError
 
 LEVEL_SEARCH_CAP = 10**6
 
@@ -50,7 +50,7 @@ def min_levels(M: int, epsilon_sq: float) -> int:
 
     epsilon_sq is the squared net radius (the tables of interest are
     indexed by eps^2).  Scans linearly from L = 2; raises
-    LevelSearchOverflowError past the hard cap.
+    InvalidInputError past the hard cap.
     """
     if M < 1:
         raise InvalidInputError(f"M must be positive, got {M}")
@@ -60,7 +60,7 @@ def min_levels(M: int, epsilon_sq: float) -> int:
     for L in range(2, LEVEL_SEARCH_CAP + 1):
         if (L - 1) * one_minus**L <= ((L - 1) / L) ** L / M:
             return L
-    raise LevelSearchOverflowError(
+    raise InvalidInputError(
         f"no admissible L <= {LEVEL_SEARCH_CAP} for M={M}, eps^2={epsilon_sq}"
     )
 

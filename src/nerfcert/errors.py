@@ -5,20 +5,8 @@ class NerfCertError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidSpecError(NerfCertError, ValueError):
-    """A generator spec is out of range (k = 0 or k > M)."""
-
-
 class InvalidInputError(NerfCertError, ValueError):
     """An argument violates a documented precondition."""
-
-
-class InvalidConfigError(NerfCertError, ValueError):
-    """A net or run configuration is inconsistent."""
-
-
-class LevelSearchOverflowError(NerfCertError, RuntimeError):
-    """No admissible level count was found below the search cap."""
 
 
 class InvariantViolationError(NerfCertError, RuntimeError):

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError
 
 UNIT_NORM_TOL = 1e-12
 TIGHT_TOL = 1e-9
@@ -45,9 +45,9 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if self.M < 1:
-            raise InvalidSpecError(f"dimension M must be positive, got {self.M}")
+            raise InvalidInputError(f"dimension M must be positive, got {self.M}")
         if not 1 <= self.k <= self.M:
-            raise InvalidSpecError(
+            raise InvalidInputError(
                 f"support size k must satisfy 1 <= k <= M, got k={self.k}, M={self.M}"
             )
 

@@ -22,12 +22,16 @@ from .frames import FrameMatrix
 
 DEFAULT_BUDGET = 10**7
 _BATCH_BYTES = 4 * 2**20  # per B x K x M float64 stack of subset columns
+_CSV_HEADER = (
+    "K,alpha_exact,beta_exact,witness_alpha,witness_beta,subsets_examined"
+)
 
 __all__ = [
     "OracleResult",
     "exact_bounds",
     "exact_bounds_all_K",
     "write_oracle_csv",
+    "read_oracle_csv",
 ]
 
 
@@ -110,10 +114,7 @@ def exact_bounds_all_K(
 def write_oracle_csv(results: List[OracleResult], path) -> None:
     """Oracle report CSV; witness indices are 1-based, semicolon-joined."""
     with open(path, "w") as fh:
-        fh.write(
-            "K,alpha_exact,beta_exact,witness_alpha,witness_beta,"
-            "subsets_examined\n"
-        )
+        fh.write(_CSV_HEADER + "\n")
         for res in results:
             wa = ";".join(str(i + 1) for i in res.witness_alpha)
             wb = ";".join(str(i + 1) for i in res.witness_beta)
@@ -121,3 +122,25 @@ def write_oracle_csv(results: List[OracleResult], path) -> None:
                 f"{res.K},{res.alpha:.17g},{res.beta:.17g},"
                 f"{wa},{wb},{res.subsets_examined}\n"
             )
+
+
+def read_oracle_csv(path, N: int) -> dict:
+    """Exact (alpha, beta) by K from a :func:`write_oracle_csv` file of an
+    N-column frame.  Refuses another header, a row of another width, and a
+    K outside 1..N or repeated."""
+    exact = {}
+    try:
+        with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
+            header, *rows = fh.read().splitlines() or [""]
+        if header != _CSV_HEADER:
+            raise ValueError(f"expected header {_CSV_HEADER!r}")
+        for cells in (row.split(",") for row in rows):
+            if len(cells) != 6:
+                raise ValueError(f"row with {len(cells)} cells, expected 6")
+            K = int(cells[0])
+            if not 1 <= K <= N or K in exact:
+                raise ValueError(f"K={K} repeated or outside 1..{N}")
+            exact[K] = (float(cells[1]), float(cells[2]))
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: malformed oracle CSV ({exc})") from None
+    return exact

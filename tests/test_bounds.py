@@ -30,11 +30,7 @@ from nerfcert.bounds import (
     resolve_threads,
     write_bounds_csv,
 )
-from nerfcert.errors import (
-    InvalidConfigError,
-    InvalidInputError,
-    InvariantViolationError,
-)
+from nerfcert.errors import InvalidInputError, InvariantViolationError
 
 
 def net_points(config):
@@ -255,7 +251,7 @@ class TestCertify:
 
     def test_rejects_unknown_mode(self, table_4_12):
         for mode in ("bogus", "general"):
-            with pytest.raises(InvalidConfigError):
+            with pytest.raises(InvalidInputError):
                 certify(table_4_12, cap_mode=mode)
 
     def test_default_mode_is_combined(self, frame_4_12):
@@ -367,18 +363,15 @@ class TestThreads:
     def test_explicit_count_wins(self):
         assert resolve_threads(3) == 3
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("NERF_CERT_THREADS", "5")
+    def test_zero_means_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(bounds.os, "cpu_count", lambda: 5)
         assert resolve_threads(0) == 5
+        monkeypatch.setattr(bounds.os, "cpu_count", lambda: None)
+        assert resolve_threads(0) == 1
 
     def test_negative_rejected(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(InvalidInputError):
             resolve_threads(-1)
-
-    def test_non_integer_env_var_rejected(self, monkeypatch):
-        monkeypatch.setenv("NERF_CERT_THREADS", "abc")
-        with pytest.raises(InvalidConfigError):
-            resolve_threads(0)
 
 
 class TestCsv:

@@ -93,16 +93,6 @@ class TestEstimate:
             payload["counts"]["net_points_used"] / payload["timings_s"]["sweep"]
         )
 
-    def test_generator_shortcut(self, tmp_path):
-        csv = tmp_path / "bounds.csv"
-        code = main(
-            [
-                "estimate", "-M", "4", "-k", "2", "--eps-sq", "0.5",
-                "-o", str(csv),
-            ]
-        )
-        assert code == EXIT_OK
-
     def test_byte_identical_across_threads(self, frame_file, tmp_path):
         out = {}
         for threads in ("1", "8"):
@@ -118,23 +108,9 @@ class TestEstimate:
         assert out["1"] == out["8"]
 
     def test_missing_frame_args(self, tmp_path):
-        code = main(
-            ["estimate", "--eps-sq", "0.5", "-o", str(tmp_path / "x.csv")]
-        )
-        assert code == EXIT_USAGE_IO
-
-    def test_bad_thread_env_var(self, frame_file, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("NERF_CERT_THREADS", "abc")
-        code = main(
-            [
-                "estimate", "-f", str(frame_file), "--eps-sq", "0.5",
-                "-o", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == EXIT_USAGE_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        with pytest.raises(SystemExit) as err:
+            main(["estimate", "--eps-sq", "0.5", "-o", str(tmp_path / "x.csv")])
+        assert err.value.code == EXIT_USAGE_IO
 
     def test_non_finite_frame_rejected(self, frame_file, tmp_path, capsys):
         lines = frame_file.read_text().splitlines()
@@ -407,10 +383,12 @@ class TestMalformedInput:
             (0, '# {"M": 4, "epsilon_sq": 0.5}'),
             (2, "1,0.5,x,0,0,0,0"),
             (2, "1,0.5"),
+            (0, '# {"M": 4, "N": 12.0, "epsilon_sq": 0.5}'),
+            (0, '# {"M": true, "N": 12, "epsilon_sq": 0.5}'),
         ],
         ids=[
             "truncated_header", "header_without_N", "non_numeric_cell",
-            "short_row",
+            "short_row", "float_N", "bool_M",
         ],
     )
     def test_malformed_bounds_csv(
@@ -426,6 +404,21 @@ class TestMalformedInput:
     def test_non_numeric_oracle_csv(self, estimate_csv, tmp_path, capsys):
         oracle = tmp_path / "oracle.csv"
         oracle.write_text("K,alpha,beta\n12,3.0,oops\n")
+        argv = ["report", "--estimate", str(estimate_csv), "--oracle",
+                str(oracle), "-o", str(tmp_path / "merged.csv")]
+        self.assert_refused(argv, oracle, capsys)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["12,3.0", "0,0,0,1,1,1", "13,3,3,1,1,1", "12,3,3,1,1,1"],
+        ids=["short_row", "K_zero", "K_above_N", "duplicate_K"],
+    )
+    def test_malformed_oracle_csv(self, estimate_csv, tmp_path, capsys, row):
+        oracle = tmp_path / "oracle.csv"
+        oracle.write_text(
+            "K,alpha_exact,beta_exact,witness_alpha,witness_beta,"
+            f"subsets_examined\n12,3,3,1,1,1\n{row}\n"
+        )
         argv = ["report", "--estimate", str(estimate_csv), "--oracle",
                 str(oracle), "-o", str(tmp_path / "merged.csv")]
         self.assert_refused(argv, oracle, capsys)

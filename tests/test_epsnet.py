@@ -11,6 +11,7 @@ from nerfcert import (
     NetConfig,
     StepPoint,
     delta_for,
+    epsnet,
     min_levels,
     net_cardinality,
     prune_check,
@@ -225,6 +226,20 @@ class TestCovering:
         config = NetConfig.create(4, 0.5)
         report = verify_covering(config, trials=5000, rng_seed=9)
         assert report.min_inner_product < 1.0
+
+    def test_prune_failures_counted(self, monkeypatch):
+        # Every row at the bottom level has ||psi_hat||^2 = M delta^(2L-2)
+        # < 1, so each quantization fails the prune test.
+        config = NetConfig.create(4, 0.5)
+        assert 4 * config.level_powers[-1] ** 2 < 1.0
+        monkeypatch.setattr(
+            epsnet,
+            "_quantize_levels",
+            lambda X, config: np.full(X.shape, config.L - 1),
+        )
+        report = verify_covering(config, trials=200, rng_seed=1)
+        assert report.prune_failures == report.trials
+        assert not report.ok
 
 
 class TestVolumetricBound:

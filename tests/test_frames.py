@@ -16,7 +16,7 @@ from nerfcert import (
     verify_untf,
     write_frame,
 )
-from nerfcert.errors import InvalidInputError, InvalidSpecError
+from nerfcert.errors import InvalidInputError
 
 # 4 x 12 reference frame: every signed permutation of (1,1,0,0)/sqrt(2)
 # that is distinct modulo negation, written out longhand.
@@ -54,9 +54,9 @@ class TestGeneratorSpec:
         assert math.isclose(np.dot(g, g), 1.0)
 
     def test_rejects_bad_support(self):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidInputError):
             GeneratorSpec(4, 0)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidInputError):
             GeneratorSpec(4, 5)
 
 
