@@ -38,7 +38,7 @@ def main():
           f"{pruned_cardinality(config)} of {config.cardinality} "
           "step points survive pruning")
 
-    table = certify(sweep_all_K(frame, config), cap_mode="untf")
+    table = certify(sweep_all_K(frame, config))
     exact = exact_bounds_all_K(frame)
 
     print(f"\nmin spanning K: {min_spanning_K(table)} "

@@ -31,7 +31,7 @@ def main():
           f"{config.cardinality} step points before pruning")
 
     t0 = time.perf_counter()
-    table = certify(sweep_all_K(frame, config, threads=0), cap_mode="untf")
+    table = certify(sweep_all_K(frame, config, threads=0))
     print(f"sweep of {table.net_points_used} pruned points took "
           f"{time.perf_counter() - t0:.2f} s")
 

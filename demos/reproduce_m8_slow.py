@@ -32,10 +32,7 @@ def main():
           f"{config.cardinality} step points before pruning")
 
     t0 = time.perf_counter()
-    table = certify(
-        sweep_all_K(frame, config, threads=0, progress=True),
-        cap_mode="untf",
-    )
+    table = certify(sweep_all_K(frame, config, threads=0, progress=True))
     print(f"sweep of {table.net_points_used} pruned points took "
           f"{time.perf_counter() - t0:.1f} s")
 

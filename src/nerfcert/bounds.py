@@ -35,8 +35,6 @@ _CHUNK_BYTES = 4 * 2**20  # per rows x N float64 temporary; see chunk_rows
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column a chunk did not improve
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
-CAP_MODES = ("combined", "untf")
-
 __all__ = [
     "BoundsTable",
     "sorted_squared_correlations",
@@ -66,7 +64,6 @@ class BoundsTable:
     delta: Optional[float] = None
     alpha_lower: Optional[np.ndarray] = None
     beta_upper: Optional[np.ndarray] = None
-    cap_mode: Optional[str] = None
 
     @property
     def certified(self) -> bool:
@@ -224,34 +221,30 @@ def sweep_all_K(
     )
 
 
-def certify(table: BoundsTable, cap_mode: str = "combined") -> BoundsTable:
-    """Fill the certified interval endpoints alpha_lower / beta_upper.
+def certify(table: BoundsTable) -> BoundsTable:
+    """Fill the certified endpoints as the paper does, for a unit norm
+    tight frame; its published tables come from these formulas:
 
-    Both modes assume a unit norm tight frame, as the sweep does.
-    beta_upper[K] = min(N/M, beta_eps[K]/(1-eps^2)), and cap_mode selects
-    the upper-bound cap fed into the lower certificate:
+        alpha_lower[K] = (alpha_eps[K] - eps^2 * N/M) / (1 - eps^2)
+        beta_upper[K]  = min(N/M, beta_eps[K] / (1 - eps^2))
 
-    * ``"combined"`` -- beta_upper itself; the sharpest valid cap
-      (default).
-    * ``"untf"`` -- N/M alone; this is the construction behind the
-      published reference tables, weaker than "combined" at small K.
-
-    alpha_lower[K] = (alpha_eps[K] - eps^2 * cap[K]) / (1 - eps^2); values
-    may be negative, meaning no lower certificate at that K.
+    Why they hold: x, a unit eigenvector of a K-subset's least eigenvalue
+    alpha_K moved into the sector by the frame's symmetry, lies within eps
+    of a net point psi = c*x + s*v (v a unit vector orthogonal to x,
+    c^2 >= 1 - eps^2).  So alpha_eps[K] <= <psi, S psi> = c^2 * alpha_K +
+    s^2 * <v, S v>, and <v, S v> <= N/M caps the rest.  beta_upper follows
+    the same way from the largest eigenvalue.  A negative alpha_lower
+    certifies nothing at that K.
     """
     if not 0.0 < table.epsilon_sq < 1.0:
         raise InvalidInputError(
             f"epsilon_sq must lie in (0,1), got {table.epsilon_sq}"
         )
-    if cap_mode not in CAP_MODES:
-        raise InvalidInputError(f"unknown cap_mode {cap_mode!r}")
     eps_sq = table.epsilon_sq
     scale = 1.0 / (1.0 - eps_sq)
     redundancy = table.N / table.M
     table.beta_upper = np.minimum(redundancy, table.beta_eps * scale)
-    cap = table.beta_upper if cap_mode == "combined" else redundancy
-    table.alpha_lower = (table.alpha_eps - eps_sq * cap) * scale
-    table.cap_mode = cap_mode
+    table.alpha_lower = (table.alpha_eps - eps_sq * redundancy) * scale
     return table
 
 
@@ -298,7 +291,7 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
         "L": table.L,
         "delta": table.delta,
         "net_points_used": table.net_points_used,
-        "cap_mode": table.cap_mode,
+        "cap_mode": "untf",  # the one cap, N/M; kept so CSV bytes hold
     }
     nm = table.N / table.M
     with open(path, "w") as fh:
@@ -319,7 +312,9 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
 
 
 def read_bounds_csv(path) -> BoundsTable:
-    """Read a CSV written by :func:`write_bounds_csv`."""
+    """Read a CSV written by :func:`write_bounds_csv`.  Every cell must be
+    finite but the alpha_lower and beta_upper of an uncertified table,
+    which are NaN in every row.  The header's cap_mode is not read."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first = fh.readline()
@@ -340,6 +335,11 @@ def read_bounds_csv(path) -> BoundsTable:
         raise InvalidInputError(
             f"{path}: expected {n} rows of 7 values, found shape {cols.shape}"
         )
+    certified = not np.all(np.isnan(cols[:, 3:5]))
+    checked = cols if certified else cols[:, [0, 1, 2, 5, 6]]
+    bad = np.flatnonzero(~np.isfinite(checked).all(axis=1))
+    if bad.size:
+        raise InvalidInputError(f"{path}: non-finite cell at K={bad[0] + 1}")
     table = BoundsTable(
         M=m,
         N=n,
@@ -351,9 +351,8 @@ def read_bounds_csv(path) -> BoundsTable:
         net_points_used=meta.get("net_points_used", 0),
         L=meta.get("L"),
         delta=meta.get("delta"),
-        cap_mode=meta.get("cap_mode"),
     )
-    if not np.all(np.isnan(cols[:, 3])):
+    if certified:
         table.alpha_lower = cols[:, 3]
         table.beta_upper = cols[:, 4]
     return table

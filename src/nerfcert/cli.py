@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    CAP_MODES,
     certify,
     chunk_rows,
     condition_number_bound,
@@ -83,13 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="net sweep + certified bounds CSV")
     p.add_argument("-f", "--frame", required=True, help="frame file path")
     p.add_argument("--eps-sq", type=float, required=True)
-    p.add_argument(
-        "--cap-mode",
-        choices=CAP_MODES,
-        default="combined",
-        help="upper-bound cap fed into the lower certificate: combined = "
-        "min(N/M, beta_eps/(1-eps^2)), untf = N/M",
-    )
+    p.add_argument("--cap-mode", choices=["untf"], default="untf",
+                   help="the certificate always caps at N/M; kept for scripts")
     p.add_argument("--threads", type=int, default=0, help="0 = CPU count")
     p.add_argument("-o", "--output", required=True, help="bounds CSV path")
     p.add_argument("--report", help="JSON run report path")
@@ -149,7 +143,7 @@ def _cmd_estimate(args) -> int:
         frame, config, threads=args.threads, progress=True
     )
     t2 = time.perf_counter()
-    certify(table, cap_mode=args.cap_mode)
+    certify(table)
     t3 = time.perf_counter()
     write_bounds_csv(table, args.output)
     k_span = min_spanning_K(table)
@@ -168,7 +162,7 @@ def _cmd_estimate(args) -> int:
                 "epsilon_sq": args.eps_sq,
                 "L": config.L,
                 "delta": f"{config.delta:.17g}",
-                "cap_mode": args.cap_mode,
+                "cap_mode": "untf",
                 "threads": resolve_threads(args.threads),
                 "frame_file": args.frame,
             },

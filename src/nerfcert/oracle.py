@@ -126,8 +126,8 @@ def write_oracle_csv(results: List[OracleResult], path) -> None:
 
 def read_oracle_csv(path, N: int) -> dict:
     """Exact (alpha, beta) by K from a :func:`write_oracle_csv` file of an
-    N-column frame.  Refuses another header, a row of another width, and a
-    K outside 1..N or repeated."""
+    N-column frame.  Refuses another header, a row of another width, a K
+    outside 1..N or repeated, and a bound that is not finite."""
     exact = {}
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
@@ -141,6 +141,8 @@ def read_oracle_csv(path, N: int) -> dict:
             if not 1 <= K <= N or K in exact:
                 raise ValueError(f"K={K} repeated or outside 1..{N}")
             exact[K] = (float(cells[1]), float(cells[2]))
+            if not all(map(math.isfinite, exact[K])):
+                raise ValueError(f"non-finite bound at K={K}")
     except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed oracle CSV ({exc})") from None
     return exact

@@ -93,7 +93,7 @@ def frame_4_12():
 def _certified_table(frame, eps_sq, threads=4):
     table = sweep_all_K(frame, NetConfig.create(frame.M, eps_sq),
                         threads=threads)
-    return certify(table, cap_mode="untf")
+    return certify(table)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def test_criterion_5_m6_run():
     config = NetConfig.create(6, 0.25)
     assert config.L == 21
     assert config.cardinality == 230230
-    table = certify(sweep_all_K(frame, config, threads=4), cap_mode="untf")
+    table = certify(sweep_all_K(frame, config, threads=4))
     assert min_spanning_K(table) == 61
     tail = table.alpha_lower[60:80]
     assert np.max(np.abs(tail - np.array(ALPHA_LOWER_6_80_TAIL))) <= 1e-2
@@ -200,7 +200,7 @@ def test_criterion_6_m8_run():
     config = NetConfig.create(8, 0.25)
     assert config.L == 22
     assert config.cardinality == 4292145
-    table = certify(sweep_all_K(frame, config, threads=8), cap_mode="untf")
+    table = certify(sweep_all_K(frame, config, threads=8))
     assert min_spanning_K(table) == 399
     # The reference value 1.17 is the certified lower bound at K=404,
     # which caps the frame operator condition number there by 60.
@@ -259,17 +259,13 @@ def test_criterion_7b_rearrangement():
 def test_criterion_7c_sandwich(frame_4_12):
     oracle = exact_bounds_all_K(frame_4_12)
     for eps_sq in ALPHA_EPS_4_12:
-        for cap_mode in ("combined", "untf"):
-            table = sweep_all_K(
-                frame_4_12, NetConfig.create(4, eps_sq), threads=4
-            )
-            certify(table, cap_mode=cap_mode)
-            for res in oracle:
-                i = res.K - 1
-                assert table.alpha_lower[i] <= res.alpha + 1e-9
-                assert res.alpha <= table.alpha_eps[i] + 1e-9
-                assert table.beta_eps[i] <= res.beta + 1e-9
-                assert res.beta <= table.beta_upper[i] + 1e-9
+        table = _certified_table(frame_4_12, eps_sq)
+        for res in oracle:
+            i = res.K - 1
+            assert table.alpha_lower[i] <= res.alpha + 1e-9
+            assert res.alpha <= table.alpha_eps[i] + 1e-9
+            assert table.beta_eps[i] <= res.beta + 1e-9
+            assert res.beta <= table.beta_upper[i] + 1e-9
     print("ACCEPTANCE CRITERION 7c (sandwich): PASS")
 
 

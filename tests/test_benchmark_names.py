@@ -1,14 +1,21 @@
-"""The names perfbench/child.py looks up must keep resolving.
+"""The names perfbench/child.py looks up must keep resolving, and the
+command lines perfbench/run.py runs must keep passing its checks.
 
 child.py skips a name that has gone and reports its metrics as absent,
 so a rename would silently blind the benchmark.  This list mirrors the
 names it wraps in ``nerfcert.cli`` (CLI_NAMES) and the ones its probes
-call in the layer modules.
+call in the layer modules.  A dropped flag or a changed file format
+would instead fail every benchmark run; the last test fails first.
 """
 
 import importlib
+import pathlib
 
 import pytest
+
+from nerfcert.cli import EXIT_OK, main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 NAMES = [
     ("nerfcert.cli", "read_frame"),
@@ -31,3 +38,32 @@ def test_benchmark_name_resolves(module, name):
     for attr in name.split("."):
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_benchmark_cli_contract(tmp_path, monkeypatch, capsys):
+    """run.py's estimate and oracle argv on the 5x40 frame at eps^2 1/4,
+    judged by perfbench/checks.py as the benchmark judges them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    frame = str(tmp_path / "frame.txt")
+    assert main(["gen-frame", "-M", "5", "-k", "3", "-o", frame]) == EXIT_OK
+    texts = []
+    for threads in (1, 2):
+        path = tmp_path / f"bounds_{threads}t.csv"
+        argv = ["estimate", "-f", frame, "--eps-sq", repr(0.25), "--threads",
+                str(threads), "--cap-mode", "untf", "-o", str(path)]
+        assert main(argv) == EXIT_OK
+        texts.append(path.read_text())
+    assert checks.check_identical(*texts) == []
+    _, cols = checks.parse_bounds_csv(texts[0])
+    assert checks.check_tight_identities(cols, 5, 40) == []
+
+    out = tmp_path / "oracle.csv"
+    capsys.readouterr()
+    argv = ["oracle", "-f", frame, "--k-min", "36", "--check",
+            str(tmp_path / "bounds_1t.csv"), "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    assert "sandwich verified" in capsys.readouterr().out
+    ks, alpha, beta, subsets = checks.parse_oracle_csv(out.read_text())
+    assert subsets == 102_091
+    assert checks.check_sandwich(cols, ks, alpha, beta) == []

@@ -1,5 +1,6 @@
 """Net sweep, certification algebra, and the bounds CSV format."""
 
+import json
 import math
 import re
 import sys
@@ -232,14 +233,6 @@ class TestSweep:
 
 
 class TestCertify:
-    def test_combined_cap_never_below_untf_cap_bound(self, frame_4_12):
-        config = NetConfig.create(4, 0.5)
-        combined = certify(sweep_all_K(frame_4_12, config), cap_mode="combined")
-        untf = certify(sweep_all_K(frame_4_12, config), cap_mode="untf")
-        # A smaller cap makes the lower certificate larger.
-        assert np.all(combined.alpha_lower >= untf.alpha_lower - 1e-12)
-        assert np.array_equal(combined.beta_upper, untf.beta_upper)
-
     def test_sandwich_shape(self, frame_4_12):
         table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
         assert np.all(table.alpha_lower <= table.alpha_eps + 1e-12)
@@ -249,21 +242,13 @@ class TestCertify:
         table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
         assert np.all(table.beta_upper <= 3.0 + 1e-12)
 
-    def test_rejects_unknown_mode(self, table_4_12):
-        for mode in ("bogus", "general"):
-            with pytest.raises(InvalidInputError):
-                certify(table_4_12, cap_mode=mode)
-
-    def test_default_mode_is_combined(self, frame_4_12):
-        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
-        assert certify(table).cap_mode == "combined"
-
 
 class TestDuality:
     """beta_eps from alpha_eps by complement duality, against the oracle.
 
-    GeneratorSpec(5, 2) has N=20; the oracle covers every K (2^20 - 1
-    subsets).  Small K is where N/M - alpha_eps[N-K] cancels most.
+    GeneratorSpec(5, 2) has N=20; the oracle covers every K from k_min = 1
+    (2^20 - 1 subsets).  Small K is where N/M - alpha_eps[N-K] cancels
+    most.
     """
 
     @pytest.fixture(scope="class")
@@ -271,16 +256,16 @@ class TestDuality:
         return orbit_signed_permutations(GeneratorSpec(5, 2))
 
     @pytest.fixture(scope="class")
-    def exact(self, frame):
-        return exact_bounds_all_K(frame)
+    def k_min(self):
+        return 1
 
-    @pytest.mark.parametrize("cap_mode", bounds.CAP_MODES)
-    def test_sandwich(self, frame, exact, cap_mode):
-        table = certify(
-            sweep_all_K(frame, NetConfig.create(frame.M, 0.25)),
-            cap_mode=cap_mode,
-        )
-        assert [res.K for res in exact] == list(range(1, table.N + 1))
+    @pytest.fixture(scope="class")
+    def exact(self, frame, k_min):
+        return exact_bounds_all_K(frame, k_min=k_min)
+
+    def test_sandwich(self, frame, exact, k_min):
+        table = certify(sweep_all_K(frame, NetConfig.create(frame.M, 0.25)))
+        assert [res.K for res in exact] == list(range(k_min, table.N + 1))
         for res in exact:
             i = res.K - 1
             assert table.alpha_lower[i] <= res.alpha + 1e-9
@@ -312,6 +297,19 @@ class TestDualityOrbitUnion(TestDuality):
         )
 
 
+class TestDualityTail(TestDuality):
+    """The same checks on GeneratorSpec(5, 3), N=40, where the oracle
+    reaches only the tail K = 36..40 (102,091 subsets)."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return orbit_signed_permutations(GeneratorSpec(5, 3))
+
+    @pytest.fixture(scope="class")
+    def k_min(self):
+        return 36
+
+
 class TestDerivedQuantities:
     def test_trivial_bounds(self):
         lower, upper = trivial_untf_bounds(12, 4, 12)
@@ -325,10 +323,7 @@ class TestDerivedQuantities:
             trivial_untf_bounds(12, 4, 3)
 
     def test_min_spanning_and_condition(self, frame_4_12):
-        table = certify(
-            sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)),
-            cap_mode="untf",
-        )
+        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
         k = min_spanning_K(table)
         assert k == 10
         cond = condition_number_bound(table, k)
@@ -384,7 +379,8 @@ class TestCsv:
         assert back.certified
         assert np.array_equal(back.alpha_eps, table.alpha_eps)
         assert np.array_equal(back.alpha_lower, table.alpha_lower)
-        assert back.cap_mode == table.cap_mode
+        header = json.loads(path.read_text().splitlines()[0][2:])
+        assert header["cap_mode"] == "untf"
 
     def test_uncertified_round_trip(self, table_4_12, tmp_path):
         path = tmp_path / "bounds.csv"

@@ -211,15 +211,28 @@ class TestEstimate:
         assert code == EXIT_OK
         assert csv.exists()
 
-    def test_removed_cap_mode_is_usage_error(self, frame_file, tmp_path):
+    @pytest.mark.parametrize("mode", ["general", "combined"])
+    def test_removed_cap_mode_is_usage_error(self, frame_file, tmp_path, mode):
         with pytest.raises(SystemExit) as err:
             main(
                 [
                     "estimate", "-f", str(frame_file), "--eps-sq", "0.5",
-                    "--cap-mode", "general", "-o", str(tmp_path / "x.csv"),
+                    "--cap-mode", mode, "-o", str(tmp_path / "x.csv"),
                 ]
             )
         assert err.value.code == EXIT_USAGE_IO
+
+    def test_default_cap_is_untf(self, frame_file, tmp_path):
+        # eps^2 = 1/2 is where the former default cap moved alpha_lower
+        # (at K = 1, 2).
+        out = []
+        for extra in ([], ["--cap-mode", "untf"]):
+            csv = tmp_path / f"bounds{len(extra)}.csv"
+            argv = ["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                    "-o", str(csv)]
+            assert main(argv + extra) == EXIT_OK
+            out.append(csv.read_bytes())
+        assert out[0] == out[1]
 
     def test_unreadable_frame(self, tmp_path):
         code = main(
@@ -385,10 +398,14 @@ class TestMalformedInput:
             (2, "1,0.5"),
             (0, '# {"M": 4, "N": 12.0, "epsilon_sq": 0.5}'),
             (0, '# {"M": true, "N": 12, "epsilon_sq": 0.5}'),
+            (2, "1,nan,0,-1.5,0,-8,3"),
+            (2, "1,inf,0,-1.5,0,-8,3"),
+            (2, "1,0,0,nan,0,-8,3"),
         ],
         ids=[
             "truncated_header", "header_without_N", "non_numeric_cell",
-            "short_row", "float_N", "bool_M",
+            "short_row", "float_N", "bool_M", "nan_alpha_eps",
+            "inf_alpha_eps", "nan_alpha_lower_cell",
         ],
     )
     def test_malformed_bounds_csv(
@@ -401,6 +418,20 @@ class TestMalformedInput:
                 "-o", str(tmp_path / "merged.csv")]
         self.assert_refused(argv, estimate_csv, capsys)
 
+    @pytest.mark.parametrize(
+        "row", ["1,nan,0,-1.5,0,-8,3", "1,0,-inf,-1.5,0,-8,3"],
+        ids=["nan_alpha_eps", "neg_inf_beta_eps"],
+    )
+    def test_non_finite_bounds_csv_refused_by_check(
+        self, frame_file, estimate_csv, tmp_path, capsys, row
+    ):
+        lines = estimate_csv.read_text().splitlines()
+        lines[2] = row
+        estimate_csv.write_text("\n".join(lines) + "\n")
+        argv = ["oracle", "-f", str(frame_file), "--k-min", "12", "--check",
+                str(estimate_csv), "-o", str(tmp_path / "oracle.csv")]
+        self.assert_refused(argv, estimate_csv, capsys)
+
     def test_non_numeric_oracle_csv(self, estimate_csv, tmp_path, capsys):
         oracle = tmp_path / "oracle.csv"
         oracle.write_text("K,alpha,beta\n12,3.0,oops\n")
@@ -410,8 +441,11 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "row",
-        ["12,3.0", "0,0,0,1,1,1", "13,3,3,1,1,1", "12,3,3,1,1,1"],
-        ids=["short_row", "K_zero", "K_above_N", "duplicate_K"],
+        [
+            "12,3.0", "0,0,0,1,1,1", "13,3,3,1,1,1", "12,3,3,1,1,1",
+            "11,nan,3,1,1,1",
+        ],
+        ids=["short_row", "K_zero", "K_above_N", "duplicate_K", "nan_alpha"],
     )
     def test_malformed_oracle_csv(self, estimate_csv, tmp_path, capsys, row):
         oracle = tmp_path / "oracle.csv"
