@@ -87,7 +87,15 @@ def sorted_squared_correlations(
 def chunk_rows(N: int) -> int:
     """Net points per batch: about _CHUNK_BYTES per rows x N float64
     temporary, clamped to [64, 4096].  A function of N alone, so results
-    never depend on the thread count."""
+    never depend on the thread count.
+
+    Threads overlap a batch's prefix scan only if it keeps more than 500
+    rows: numpy's accumulate, behind np.cumsum(axis=1), holds the GIL
+    when its outer loop has 500 rows or fewer.  With numpy 2.4 on a
+    2-vCPU VM, two threads ran np.cumsum(axis=1) 2.0x as fast as one on
+    936 x 560 batches (N=560) but 1.0x on 130 x 4032 batches (N=4032),
+    which is why the 10x4032 sweep gains only about 1.4x from a second
+    thread."""
     return max(64, min(4096, _CHUNK_BYTES // (8 * N)))
 
 
@@ -312,21 +320,26 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
 
 
 def read_bounds_csv(path) -> BoundsTable:
-    """Read a CSV written by :func:`write_bounds_csv`.  Every cell must be
-    finite but the alpha_lower and beta_upper of an uncertified table,
-    which are NaN in every row.  The header's cap_mode is not read."""
+    """Read a CSV written by :func:`write_bounds_csv`.  The K column must
+    read 1..N in order, and every cell must be finite but the alpha_lower
+    and beta_upper of an uncertified table, which are NaN in every row.
+    The header's cap_mode is not read."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first = fh.readline()
             fh.readline()  # column header
-            rows = [line.split(",") for line in fh if line.strip()]
+            rows = [line for line in fh if line.strip()]
         if not first.startswith("# "):
             raise ValueError("missing JSON header line")
         meta = json.loads(first[2:])
         m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
         if not all(type(v) is int and v > 0 for v in (m, n)):
             raise ValueError(f"M and N must be positive integers, got {m}, {n}")
-        cols = np.array([[float(v) for v in row] for row in rows])
+        cols = (
+            np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+            if rows
+            else np.empty((0, 7))
+        )
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInputError(
             f"{path}: malformed bounds CSV ({type(exc).__name__}: {exc})"
@@ -335,6 +348,8 @@ def read_bounds_csv(path) -> BoundsTable:
         raise InvalidInputError(
             f"{path}: expected {n} rows of 7 values, found shape {cols.shape}"
         )
+    if not np.array_equal(cols[:, 0], np.arange(1, n + 1)):
+        raise InvalidInputError(f"{path}: K column is not 1..{n} in order")
     certified = not np.all(np.isnan(cols[:, 3:5]))
     checked = cols if certified else cols[:, [0, 1, 2, 5, 6]]
     bad = np.flatnonzero(~np.isfinite(checked).all(axis=1))

@@ -211,23 +211,28 @@ def write_frame(frame: FrameMatrix, path) -> None:
 
 
 def read_frame(path) -> FrameMatrix:
-    """Read the plain-text frame format, rejecting mismatched counts."""
+    """Read the plain-text frame format, rejecting mismatched counts.
+
+    The body is parsed by np.loadtxt with no comment character, so a
+    line starting with '#' is refused rather than skipped."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             header = fh.readline().split()
-            rows = [
-                [float(v) for v in line.split()] for line in fh if line.strip()
-            ]
+            body = fh.read()
         if len(header) != 2:
             raise ValueError("expected header 'M N'")
         m, n = int(header[0]), int(header[1])
+        rows = (
+            np.loadtxt(body.splitlines(), ndmin=2, comments=None)
+            if body.strip()
+            else np.empty((0, m))
+        )
     except ValueError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
-    for vals in rows:
-        if len(vals) != m:
-            raise InvalidInputError(
-                f"{path}: column with {len(vals)} entries, expected {m}"
-            )
+    if rows.shape[1] != m:
+        raise InvalidInputError(
+            f"{path}: column with {rows.shape[1]} entries, expected {m}"
+        )
     if len(rows) != n:
         raise InvalidInputError(f"{path}: found {len(rows)} columns, expected {n}")
-    return FrameMatrix(np.array(rows).T)
+    return FrameMatrix(rows.T)

@@ -1,11 +1,12 @@
 """Exact optimal NERF bounds for small frames by exhaustive enumeration.
 
-The K-element column subsets are visited in lexicographic order and
-stacked in batches of M x M subframe operators; one ``np.linalg.eigvalsh``
-call per batch gives every subset's extreme eigenvalues.  The global
-minimum of the smallest and maximum of the largest eigenvalue over all
-C(N,K) subsets are the optimal bounds.  Only feasible for small N, which
-is exactly its job: ground truth to validate the net estimator.
+Every K-element column subset is visited, through the smaller of itself
+and its complement, and the subframe operators are stacked in batches of
+M x M matrices; one ``np.linalg.eigvalsh`` call per batch gives every
+subset's extreme eigenvalues.  The global minimum of the smallest and
+maximum of the largest eigenvalue over all C(N,K) subsets are the
+optimal bounds.  Only feasible for small N, which is exactly its job:
+ground truth to validate the net estimator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import InvalidInputError, OracleInfeasibleError
 from .frames import FrameMatrix
 
 DEFAULT_BUDGET = 10**7
-_BATCH_BYTES = 4 * 2**20  # per B x K x M float64 stack of subset columns
+_BATCH_BYTES = 4 * 2**20  # per B x min(K, N-K) x M float64 column stack
 _CSV_HEADER = (
     "K,alpha_exact,beta_exact,witness_alpha,witness_beta,subsets_examined"
 )
@@ -50,9 +51,15 @@ def exact_bounds(
 ) -> OracleResult:
     """Extreme subframe-operator eigenvalues over all K-subsets.
 
-    Subsets are visited in lexicographic order; the first subset attaining
-    each extremum is kept as its witness (argmin/argmax pick the first in a
-    batch, a strict comparison decides across batches), so results are
+    The smaller side is enumerated: the K-subsets themselves for
+    K <= N/2, otherwise their (N-K)-column complements C, each subset's
+    operator then being S - Phi_C Phi_C^T with S = Phi Phi^T computed
+    once.  That identity holds for every frame, tight or not, so a
+    subset costs O(min(K, N-K) * M^2) plus one M x M eigvalsh; K = N is
+    the one empty complement.  Each witness is the first attaining
+    subset in lexicographic order of the enumerated side (argmin/argmax
+    pick the first in a batch, a strict comparison decides across
+    batches), given as its K sorted column indices, so results are
     deterministic.
     """
     N, M = frame.N, frame.M
@@ -61,34 +68,41 @@ def exact_bounds(
     total = math.comb(N, K)
     if total > budget:
         raise OracleInfeasibleError(N, K, K, total, budget)
+    J = min(K, N - K)
+    complement = J < K
     cols = frame.matrix.T
-    batch = max(1, _BATCH_BYTES // (8 * K * M))
-    subsets = combinations(range(N), K)
+    full = cols.T @ cols if complement else None
+    everyone = np.arange(N)
+
+    def subset(row):  # the K sorted column indices of an enumerated row
+        return tuple((np.delete(everyone, row) if complement else row).tolist())
+
+    batch = max(1, _BATCH_BYTES // (8 * max(J, 1) * M))
+    sides = combinations(range(N), J)
     alpha = math.inf
     beta = -math.inf
     wit_a = wit_b = None
-    count = 0
-    while True:
-        flat = chain.from_iterable(islice(subsets, batch))
-        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, K)
-        if not len(idx):
-            break
-        sub = cols[idx]  # (B, K, M)
-        lam = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)
+    for start in range(0, total, batch):
+        rows = min(batch, total - start)
+        flat = chain.from_iterable(islice(sides, rows))
+        idx = np.fromiter(flat, dtype=np.intp, count=rows * J)
+        idx = idx.reshape(rows, J)
+        sub = cols[idx]  # (B, J, M)
+        ops = sub.transpose(0, 2, 1) @ sub
+        lam = np.linalg.eigvalsh(full - ops if complement else ops)
         lo, hi = lam[:, 0], lam[:, -1]
         i, j = int(lo.argmin()), int(hi.argmax())
         if lo[i] < alpha:
-            alpha, wit_a = float(lo[i]), tuple(idx[i].tolist())
+            alpha, wit_a = float(lo[i]), subset(idx[i])
         if hi[j] > beta:
-            beta, wit_b = float(hi[j]), tuple(idx[j].tolist())
-        count += len(idx)
+            beta, wit_b = float(hi[j]), subset(idx[j])
     return OracleResult(
         K=K,
         alpha=alpha,
         beta=beta,
         witness_alpha=wit_a,
         witness_beta=wit_b,
-        subsets_examined=count,
+        subsets_examined=total,
     )
 
 

@@ -58,12 +58,15 @@ def test_benchmark_cli_contract(tmp_path, monkeypatch, capsys):
     _, cols = checks.parse_bounds_csv(texts[0])
     assert checks.check_tight_identities(cols, 5, 40) == []
 
-    out = tmp_path / "oracle.csv"
-    capsys.readouterr()
-    argv = ["oracle", "-f", frame, "--k-min", "36", "--check",
-            str(tmp_path / "bounds_1t.csv"), "-o", str(out)]
-    assert main(argv) == EXIT_OK
-    assert "sandwich verified" in capsys.readouterr().out
-    ks, alpha, beta, subsets = checks.parse_oracle_csv(out.read_text())
-    assert subsets == 102_091
-    assert checks.check_sandwich(cols, ks, alpha, beta) == []
+    # K = N-1 and N enumerate complements of one column and of none.
+    for k_min, expected in ((36, 102_091), (39, 41)):
+        out = tmp_path / f"oracle_{k_min}.csv"
+        capsys.readouterr()
+        argv = ["oracle", "-f", frame, "--k-min", str(k_min), "--check",
+                str(tmp_path / "bounds_1t.csv"), "-o", str(out)]
+        assert main(argv) == EXIT_OK
+        assert "sandwich verified" in capsys.readouterr().out
+        ks, alpha, beta, subsets = checks.parse_oracle_csv(out.read_text())
+        assert list(ks) == list(range(k_min, 41))
+        assert subsets == expected
+        assert checks.check_sandwich(cols, ks, alpha, beta) == []

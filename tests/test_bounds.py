@@ -260,11 +260,15 @@ class TestDuality:
         return 1
 
     @pytest.fixture(scope="class")
+    def eps_sq(self):
+        return 0.25
+
+    @pytest.fixture(scope="class")
     def exact(self, frame, k_min):
         return exact_bounds_all_K(frame, k_min=k_min)
 
-    def test_sandwich(self, frame, exact, k_min):
-        table = certify(sweep_all_K(frame, NetConfig.create(frame.M, 0.25)))
+    def test_sandwich(self, frame, exact, k_min, eps_sq):
+        table = certify(sweep_all_K(frame, NetConfig.create(frame.M, eps_sq)))
         assert [res.K for res in exact] == list(range(k_min, table.N + 1))
         for res in exact:
             i = res.K - 1
@@ -273,8 +277,8 @@ class TestDuality:
             assert table.beta_eps[i] <= res.beta + 1e-9
             assert res.beta <= table.beta_upper[i] + 1e-9
 
-    def test_upper_side_mirrors_lower(self, frame):
-        table = sweep_all_K(frame, NetConfig.create(frame.M, 0.25))
+    def test_upper_side_mirrors_lower(self, frame, eps_sq):
+        table = sweep_all_K(frame, NetConfig.create(frame.M, eps_sq))
         n, nm = table.N, table.N / table.M
         assert table.beta_eps[n - 1] == nm
         for k in range(1, n):
@@ -308,6 +312,24 @@ class TestDualityTail(TestDuality):
     @pytest.fixture(scope="class")
     def k_min(self):
         return 36
+
+
+class TestDualityM8Tail(TestDuality):
+    """The paper's 8x560 frame at K = 558..560 (156,521 subsets, about
+    0.4 s, the oracle enumerating the complements of at most two
+    columns), against the 1,276-point net of eps^2 1/2."""
+
+    @pytest.fixture(scope="class")
+    def frame(self):
+        return orbit_signed_permutations(GeneratorSpec(8, 4))
+
+    @pytest.fixture(scope="class")
+    def k_min(self):
+        return 558
+
+    @pytest.fixture(scope="class")
+    def eps_sq(self):
+        return 0.5
 
 
 class TestDerivedQuantities:

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,42 @@ class TestMalformedInput:
         argv = ["oracle", "-f", str(frame_file), "--k-min", "12", "--check",
                 str(estimate_csv), "-o", str(tmp_path / "oracle.csv")]
         self.assert_refused(argv, estimate_csv, capsys)
+
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    def test_reordered_bounds_csv(
+        self, frame_file, estimate_csv, tmp_path, capsys, command
+    ):
+        # Rows in reverse: K runs 12..1, so row K=1 would read the K=12
+        # values.  Refused as malformed input, not a broken sandwich.
+        lines = estimate_csv.read_text().splitlines()
+        estimate_csv.write_text("\n".join(lines[:2] + lines[:1:-1]) + "\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "oracle": ["oracle", "-f", str(frame_file), "--k-min", "10",
+                       "--check", str(estimate_csv), "-o", out],
+            "report": ["report", "--estimate", str(estimate_csv), "-o", out],
+        }[command]
+        self.assert_refused(argv, estimate_csv, capsys)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:2] + ["# a comment"] + lines[2:],
+            lambda lines: lines[:3] + ["0.5 0.5 0.5"] + lines[4:],
+            lambda lines: lines[:1],
+        ],
+        ids=["comment_line", "short_column", "empty_body"],
+    )
+    def test_malformed_frame_body(self, frame_file, tmp_path, capsys, edit):
+        # A '#' line is data, not a comment: refused, never skipped.  An
+        # empty body is refused without a parser warning.
+        lines = frame_file.read_text().splitlines()
+        frame_file.write_text("\n".join(edit(lines)) + "\n")
+        argv = ["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                "-o", str(tmp_path / "x.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_refused(argv, frame_file, capsys)
 
     def test_non_numeric_oracle_csv(self, estimate_csv, tmp_path, capsys):
         oracle = tmp_path / "oracle.csv"

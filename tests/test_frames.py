@@ -171,6 +171,22 @@ class TestFrameIO:
         write_frame(frame, path)
         assert path.read_text().splitlines()[0] == "4 12"
 
+    def test_parse_is_bitwise_float(self, tmp_path):
+        # The 10x4032 orbit relabelled: columns permuted and signed, so
+        # the file holds "-0" entries as well as "0".
+        phi = orbit_signed_permutations(GeneratorSpec(10, 5)).matrix
+        rng = np.random.default_rng(0)
+        signs = rng.choice((-1.0, 1.0), size=phi.shape[1])
+        path = tmp_path / "frame.txt"
+        write_frame(FrameMatrix(phi[:, rng.permutation(phi.shape[1])] * signs),
+                    path)
+        lines = path.read_text().splitlines()[1:]
+        ref = np.array([[float(v) for v in line.split()] for line in lines]).T
+        assert np.signbit(ref[ref == 0]).any() and not np.signbit(ref[ref == 0]).all()
+        back = read_frame(path).matrix
+        assert back.shape == (10, 4032)
+        assert np.array_equal(back.view(np.int64), ref.view(np.int64))
+
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("2 3\n1 0\n0 1\n")

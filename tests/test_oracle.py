@@ -1,16 +1,19 @@
 """The exhaustive subset oracle: batched eigvalsh over every K-subset."""
 
 import math
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 
 from nerfcert import (
+    FrameMatrix,
     GeneratorSpec,
     exact_bounds,
     exact_bounds_all_K,
     oracle,
     orbit_signed_permutations,
+    verify_untf,
 )
 from nerfcert.errors import InvalidInputError, OracleInfeasibleError
 from nerfcert.oracle import write_oracle_csv
@@ -19,6 +22,41 @@ from nerfcert.oracle import write_oracle_csv
 @pytest.fixture(scope="module")
 def frame_4_12():
     return orbit_signed_permutations(GeneratorSpec(4, 2))
+
+
+def direct_bounds(frame, K):
+    """(alpha, beta) over all K-subsets, each operator gathered from its
+    own K columns, 20,000 subsets at a time."""
+    cols = frame.matrix.T
+    alpha, beta = math.inf, -math.inf
+    subsets = combinations(range(frame.N), K)
+    while chunk := list(islice(subsets, 20_000)):
+        sub = cols[np.array(chunk)]
+        lam = np.linalg.eigvalsh(sub.transpose(0, 2, 1) @ sub)
+        alpha = min(alpha, lam[:, 0].min())
+        beta = max(beta, lam[:, -1].max())
+    return alpha, beta
+
+
+def random_unit_norm_4_12():
+    """Twelve random unit vectors in R^4: neither invariant nor tight."""
+    phi = np.random.default_rng(0).standard_normal((4, 12))
+    return FrameMatrix(phi / np.linalg.norm(phi, axis=0))
+
+
+FRAMES = {
+    "orbit_4_12": lambda: orbit_signed_permutations(GeneratorSpec(4, 2)),
+    "orbit_5_20": lambda: orbit_signed_permutations(GeneratorSpec(5, 2)),
+    "random_4_12": random_unit_norm_4_12,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(FRAMES))
+def every_K(request):
+    """A frame, its oracle results at every K, and the direct bounds."""
+    frame = FRAMES[request.param]()
+    direct = [direct_bounds(frame, K) for K in range(1, frame.N + 1)]
+    return frame, exact_bounds_all_K(frame), direct
 
 
 class TestExactBounds:
@@ -67,6 +105,50 @@ class TestExactBounds:
             exact_bounds(frame_4_12, 0)
         with pytest.raises(InvalidInputError):
             exact_bounds(frame_4_12, 13)
+
+
+class TestComplementPath:
+    """Above K = N/2 the oracle enumerates the N-K complements and
+    subtracts their operators from the whole frame's, at every K of two
+    orbit frames and of a frame that is not tight."""
+
+    def test_random_frame_is_not_tight(self):
+        assert not verify_untf(random_unit_norm_4_12()).is_tight
+
+    def test_bounds_match_direct_gathering(self, every_K):
+        frame, results, direct = every_K
+        assert [res.K for res in results] == list(range(1, frame.N + 1))
+        for res, (alpha, beta) in zip(results, direct):
+            assert abs(res.alpha - alpha) <= 1e-12
+            assert abs(res.beta - beta) <= 1e-12
+
+    def test_every_subset_examined(self, every_K):
+        frame, results, _ = every_K
+        for res in results:
+            assert res.subsets_examined == math.comb(frame.N, res.K)
+        assert results[-1].subsets_examined == 1
+
+    def test_witnesses_attain_bounds(self, every_K):
+        frame, results, _ = every_K
+        for res in results:
+            for witness, bound, end in (
+                (res.witness_alpha, res.alpha, 0),
+                (res.witness_beta, res.beta, -1),
+            ):
+                assert list(witness) == sorted(set(witness))
+                assert len(witness) == res.K
+                assert 0 <= witness[0] and witness[-1] < frame.N
+                sub = frame.matrix[:, list(witness)]
+                lam = np.linalg.eigvalsh(sub @ sub.T)
+                assert abs(lam[end] - bound) <= 1e-10
+
+    def test_batches_match_one_batch(self, every_K, monkeypatch):
+        frame, results, _ = every_K
+        # Every K of the 4x12 frames; K = 1..4 and 16..20 of the 5x20.
+        ks = [K for K in range(1, frame.N + 1) if math.comb(frame.N, K) <= 5000]
+        monkeypatch.setattr(oracle, "_BATCH_BYTES", 1000)
+        for K in ks:
+            assert exact_bounds(frame, K) == results[K - 1]
 
 
 class TestOracleCsv:
