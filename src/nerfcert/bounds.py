@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ from .epsnet import NetConfig, _level_arrays, _psi_from_levels
 from .errors import InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
-_CHUNK_BYTES = 4 * 2**20  # per rows x N float64 temporary; see chunk_rows
+_CHUNK_BYTES = 4 * 2**20  # per worker's rows x N float64 buffer; chunk_rows
+_GATHER_BYTES = 256 * 2**10  # per block of columns gathered for witness ranks
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column a chunk did not improve
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
@@ -85,9 +87,9 @@ def sorted_squared_correlations(
 
 
 def chunk_rows(N: int) -> int:
-    """Net points per batch: about _CHUNK_BYTES per rows x N float64
-    temporary, clamped to [64, 4096].  A function of N alone, so results
-    never depend on the thread count.
+    """Net points per batch: each worker's one rows x N float64 buffer
+    takes about _CHUNK_BYTES, rows clamped to [64, 4096].  A function of N
+    alone, so results never depend on the thread count.
 
     Threads overlap a batch's prefix scan only if it keeps more than 500
     rows: numpy's accumulate, behind np.cumsum(axis=1), holds the GIL
@@ -100,26 +102,37 @@ def chunk_rows(N: int) -> int:
 
 
 def _chunk_accumulate(
-    phi: np.ndarray, psi_rows: np.ndarray, offset: int, best: np.ndarray
+    phi: np.ndarray,
+    psi_rows: np.ndarray,
+    offset: int,
+    best: np.ndarray,
+    buf: np.ndarray,
 ) -> tuple:
     """Prefix-sum minima over one batch of unit-norm net points, and the
     first rank attaining each.
 
-    Ranks are searched only in columns that beat ``best``, the minima of
-    the batches merged when this one was submitted; other columns get
-    _NO_RANK.  Such a column already has an attaining point of lower rank,
-    and the merge takes a batch's value only where it is strictly smaller,
-    so merged witnesses stay the first attaining ranks whatever ``best``
-    lags behind.
+    The batch's rows x N correlations are computed, sorted and scanned in
+    the first len(psi_rows) rows of ``buf``, the calling worker's buffer;
+    nothing returned refers to it.  Ranks are searched only in columns
+    that beat ``best``, the minima of the batches merged when this one was
+    submitted; other columns get _NO_RANK.  Such a column already has an
+    attaining point of lower rank, and the merge takes a batch's value
+    only where it is strictly smaller, so merged witnesses stay the first
+    attaining ranks whatever ``best`` lags behind.  Those columns are
+    gathered in blocks of at most _GATHER_BYTES, so a witness search
+    never copies the whole batch.
     """
-    prefix = psi_rows @ phi
+    prefix = np.matmul(psi_rows, phi, out=buf[: len(psi_rows)])
     np.square(prefix, out=prefix)
     prefix.sort(axis=1)
     np.cumsum(prefix, axis=1, out=prefix)
     alpha = prefix.min(axis=0)
     rank = np.full(phi.shape[1], _NO_RANK, dtype=np.int64)
     idx = np.flatnonzero(alpha < best)
-    rank[idx] = prefix[:, idx].argmin(axis=0) + offset
+    width = max(1, _GATHER_BYTES // (8 * len(prefix)))
+    for start in range(0, len(idx), width):
+        block = idx[start : start + width]
+        rank[block] = prefix[:, block].argmin(axis=0) + offset
     return alpha, rank
 
 
@@ -170,14 +183,28 @@ def sweep_all_K(
     are independent of chunking and thread count: per-point sums are
     computed identically everywhere, and each witness is the first
     attaining rank.  The merge builds new arrays, so the minima a worker
-    was given are never written.  At one thread the window holds one
-    batch, computed in the calling thread: handing each batch to a pool
-    thread costs two thread wake-ups, which made one-thread runs 10-30 %
-    slower on a 2-vCPU VM.  With ``progress`` a line goes to stderr each
-    time the count passes a multiple of _PROGRESS_EVERY, and one final
-    line gives the total.
+    was given are never written.  Each worker computes its batches in one
+    chunk_rows(N) x N buffer of its own, allocated at its first batch and
+    dropped with the sweep, so no batch waits for a buffer and the
+    sweep's working set is about ``threads`` such buffers plus witness
+    gathers of at most _GATHER_BYTES each.  At one thread the window
+    holds one batch, computed in the calling thread: handing each batch
+    to a pool thread costs two thread wake-ups, which made one-thread
+    runs 10-30 % slower on a 2-vCPU VM.  With ``progress`` a line goes to
+    stderr each time the count passes a multiple of _PROGRESS_EVERY, and
+    one final line gives the total.
     """
     threads = resolve_threads(threads)
+    rows = chunk_rows(frame.N)
+    buffers = threading.local()  # one per worker, dropped with the sweep
+
+    def accumulate(psi_rows, offset, best):
+        if not hasattr(buffers, "buf"):
+            buffers.buf = np.empty((rows, frame.N))
+        return _chunk_accumulate(
+            frame.matrix, psi_rows, offset, best, buffers.buf
+        )
+
     alpha = np.full(frame.N, np.inf)
     argmin = np.zeros(frame.N, dtype=np.int64)
     done = shown = 0
@@ -186,21 +213,18 @@ def sweep_all_K(
         submit, depth = (
             (pool.submit, 4 * threads) if threads > 1 else (_run_now, 1)
         )
-        batches = _net_psi_chunks(config, chunk_rows(frame.N))
-        for batch in chain(batches, [None]):
+        for batch in chain(_net_psi_chunks(config, rows), [None]):
             if batch is not None:
                 psi_rows, offset = batch
-                job = submit(
-                    _chunk_accumulate, frame.matrix, psi_rows, offset, alpha
-                )
+                job = submit(accumulate, psi_rows, offset, alpha)
                 window.append((len(psi_rows), job))
             while window and (batch is None or len(window) >= depth):
-                rows, job = window.popleft()
+                points, job = window.popleft()
                 part, rank = job.result()
                 take = part < alpha
                 alpha = np.where(take, part, alpha)
                 argmin = np.where(take, rank, argmin)
-                done += rows
+                done += points
                 if progress and done // _PROGRESS_EVERY > shown // _PROGRESS_EVERY:
                     shown = done
                     print(f"  swept {done} net points", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 
@@ -181,6 +182,11 @@ def _cmd_estimate(args) -> int:
                 "sweep_points_per_s": table.net_points_used / sweep_s
                 if sweep_s > 0
                 else None,
+            },
+            "memory": {  # the process's high-water mark; KiB on Linux
+                "peak_rss_mb": resource.getrusage(
+                    resource.RUSAGE_SELF
+                ).ru_maxrss / 1024,
             },
             "results": {
                 "min_spanning_K": k_span,

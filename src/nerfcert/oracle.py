@@ -130,8 +130,9 @@ def write_oracle_csv(results: List[OracleResult], path) -> None:
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for res in results:
-            wa = ";".join(str(i + 1) for i in res.witness_alpha)
-            wb = ";".join(str(i + 1) for i in res.witness_beta)
+            # join() turns a generator into a list first; a list is faster
+            wa = ";".join([str(i + 1) for i in res.witness_alpha])
+            wb = ";".join([str(i + 1) for i in res.witness_beta])
             fh.write(
                 f"{res.K},{res.alpha:.17g},{res.beta:.17g},"
                 f"{wa},{wb},{res.subsets_examined}\n"

@@ -1,5 +1,11 @@
 import pytest
 
+from nerfcert import (
+    GeneratorSpec,
+    exact_bounds_all_K,
+    orbit_signed_permutations,
+)
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -17,3 +23,11 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def oracle_5_20():
+    """The GeneratorSpec(5, 2) frame (N=20) and its oracle results at
+    every K: 2^20 - 1 subsets, about 2 s, computed once for the session."""
+    frame = orbit_signed_permutations(GeneratorSpec(5, 2))
+    return frame, exact_bounds_all_K(frame)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,33 @@ def net_points(config):
     """Every net point in rank order, rebuilt from the walker's rows."""
     rows = np.concatenate(list(epsnet._level_arrays(config))).tolist()
     return [StepPoint.from_ascending_levels(row, config) for row in rows]
+
+
+def all_prefix_sums(frame, config):
+    """Every net point's sorted prefix sums, one row per rank, computed
+    directly in 7-point batches."""
+    c2 = np.vstack([
+        rows @ frame.matrix for rows, _ in bounds._net_psi_chunks(config, 7)
+    ]) ** 2
+    return np.cumsum(np.sort(c2, axis=1), axis=1)
+
+
+def first_ranks(prefix):
+    """First attaining ranks of alpha_eps and, by duality, of beta_eps."""
+    return (
+        prefix.argmin(axis=0),
+        np.append(prefix[:, -2::-1].argmin(axis=0), 0),
+    )
+
+
+def traced_peak(fn):
+    """Peak bytes numpy and Python allocate while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def swept_counts(err):
@@ -140,20 +168,42 @@ class TestSweep:
             assert not np.any(table.argmin_r == bounds._NO_RANK)
         # The same per-point sums for all 1106 points in one array: the
         # chunked sweep must give their minima and first attaining ranks.
-        c2 = np.vstack([
-            rows @ frame_4_12.matrix
-            for rows, _ in bounds._net_psi_chunks(config, 7)
-        ]) ** 2
-        prefix = np.cumsum(np.sort(c2, axis=1), axis=1)
+        prefix = all_prefix_sums(frame_4_12, config)
         assert np.array_equal(one.alpha_eps, prefix.min(axis=0))
-        assert np.array_equal(one.argmin_r, prefix.argmin(axis=0))
         # Column K-1: the K largest as N/M minus the N-K smallest; the
         # N largest are N/M exactly, first attained at rank 0.
         largest = np.hstack([3.0 - prefix[:, -2::-1], np.full((1106, 1), 3.0)])
         assert np.array_equal(one.beta_eps, largest.max(axis=0))
-        assert np.array_equal(
-            one.argmax_r, np.append(prefix[:, -2::-1].argmin(axis=0), 0)
-        )
+        argmin, argmax = first_ranks(prefix)
+        assert np.array_equal(one.argmin_r, argmin)
+        assert np.array_equal(one.argmax_r, argmax)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_one_column_gathers_find_first_ranks(
+        self, frame_4_12, monkeypatch, threads
+    ):
+        # A one-byte budget still gathers one column per block, so each
+        # witness search walks the improved columns one at a time.
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        monkeypatch.setattr(bounds, "_GATHER_BYTES", 1)
+        config = NetConfig.create(4, 0.25)
+        table = sweep_all_K(frame_4_12, config, threads=threads)
+        argmin, argmax = first_ranks(all_prefix_sums(frame_4_12, config))
+        assert np.array_equal(table.argmin_r, argmin)
+        assert np.array_equal(table.argmax_r, argmax)
+
+    def test_two_workers_hold_one_buffer_each(self):
+        # Above the walker's share, measured as a one-thread sweep of a
+        # one-column frame, two workers may add their two chunk buffers
+        # (4096 x 80 at N=80) and 2 MiB for witness gathers, batches in
+        # flight and merges.  Batch-sized copies per batch exceed this.
+        frame = orbit_signed_permutations(GeneratorSpec(6, 3))
+        config = NetConfig.create(6, 0.25)
+        unit = FrameMatrix(np.eye(6)[:, :1])
+        walker = traced_peak(lambda: sweep_all_K(unit, config))
+        swept = traced_peak(lambda: sweep_all_K(frame, config, threads=2))
+        assert frame.N == 80
+        assert swept - walker <= 2 * chunk_rows(80) * 80 * 8 + 2 * 2**20
 
     def test_rank_offsets_across_walker_blocks(self, frame_4_12, monkeypatch):
         # Every other net here fits in one walker block; with 16-node slices
@@ -243,17 +293,9 @@ class TestCertify:
         assert np.all(table.beta_upper <= 3.0 + 1e-12)
 
 
-class TestDuality:
-    """beta_eps from alpha_eps by complement duality, against the oracle.
-
-    GeneratorSpec(5, 2) has N=20; the oracle covers every K from k_min = 1
-    (2^20 - 1 subsets).  Small K is where N/M - alpha_eps[N-K] cancels
-    most.
-    """
-
-    @pytest.fixture(scope="class")
-    def frame(self):
-        return orbit_signed_permutations(GeneratorSpec(5, 2))
+class DualityChecks:
+    """beta_eps from alpha_eps by complement duality, against the oracle
+    from k_min on; each Test subclass gives the frame."""
 
     @pytest.fixture(scope="class")
     def k_min(self):
@@ -287,7 +329,22 @@ class TestDuality:
         assert table.argmax_r[n - 1] == 0
 
 
-class TestDualityOrbitUnion(TestDuality):
+class TestDuality(DualityChecks):
+    """GeneratorSpec(5, 2) has N=20; the oracle covers every K from k_min = 1
+    (2^20 - 1 subsets), the session's result shared with test_oracle.
+    Small K is where N/M - alpha_eps[N-K] cancels most.
+    """
+
+    @pytest.fixture(scope="class")
+    def frame(self, oracle_5_20):
+        return oracle_5_20[0]
+
+    @pytest.fixture(scope="class")
+    def exact(self, oracle_5_20):
+        return oracle_5_20[1]
+
+
+class TestDualityOrbitUnion(DualityChecks):
     """The same checks on the union of the (4, 1) and (4, 2) orbits: N=16,
     still invariant, unit norm and tight, but not a single orbit."""
 
@@ -301,7 +358,7 @@ class TestDualityOrbitUnion(TestDuality):
         )
 
 
-class TestDualityTail(TestDuality):
+class TestDualityTail(DualityChecks):
     """The same checks on GeneratorSpec(5, 3), N=40, where the oracle
     reaches only the tail K = 36..40 (102,091 subsets)."""
 
@@ -314,7 +371,7 @@ class TestDualityTail(TestDuality):
         return 36
 
 
-class TestDualityM8Tail(TestDuality):
+class TestDualityM8Tail(DualityChecks):
     """The paper's 8x560 frame at K = 558..560 (156,521 subsets, about
     0.4 s, the oracle enumerating the complements of at most two
     columns), against the 1,276-point net of eps^2 1/2."""

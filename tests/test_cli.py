@@ -93,6 +93,8 @@ class TestEstimate:
         assert rate == pytest.approx(
             payload["counts"]["net_points_used"] / payload["timings_s"]["sweep"]
         )
+        peak = payload["memory"]["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
 
     def test_byte_identical_across_threads(self, frame_file, tmp_path):
         out = {}

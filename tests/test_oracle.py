@@ -46,17 +46,21 @@ def random_unit_norm_4_12():
 
 FRAMES = {
     "orbit_4_12": lambda: orbit_signed_permutations(GeneratorSpec(4, 2)),
-    "orbit_5_20": lambda: orbit_signed_permutations(GeneratorSpec(5, 2)),
     "random_4_12": random_unit_norm_4_12,
 }
 
 
-@pytest.fixture(scope="module", params=sorted(FRAMES))
+@pytest.fixture(scope="module", params=sorted([*FRAMES, "orbit_5_20"]))
 def every_K(request):
-    """A frame, its oracle results at every K, and the direct bounds."""
-    frame = FRAMES[request.param]()
+    """A frame, its oracle results at every K, and the direct bounds.  The
+    5x20 oracle is the session's, shared with test_bounds.TestDuality."""
+    if request.param == "orbit_5_20":
+        frame, results = request.getfixturevalue("oracle_5_20")
+    else:
+        frame = FRAMES[request.param]()
+        results = exact_bounds_all_K(frame)
     direct = [direct_bounds(frame, K) for K in range(1, frame.N + 1)]
-    return frame, exact_bounds_all_K(frame), direct
+    return frame, results, direct
 
 
 class TestExactBounds:
