@@ -20,10 +20,8 @@ import math
 import os
 import sys
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -34,7 +32,7 @@ from .frames import FrameMatrix
 
 _CHUNK_BYTES = 4 * 2**20  # per worker's rows x N float64 buffer; chunk_rows
 _GATHER_BYTES = 256 * 2**10  # per block of columns gathered for witness ranks
-_NO_RANK = np.iinfo(np.int64).max  # rank of a column a chunk did not improve
+_NO_RANK = np.iinfo(np.int64).max  # rank of a column no batch has set
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
 __all__ = [
@@ -105,35 +103,31 @@ def _chunk_accumulate(
     phi: np.ndarray,
     psi_rows: np.ndarray,
     offset: int,
-    best: np.ndarray,
+    alpha: np.ndarray,
+    argmin: np.ndarray,
     buf: np.ndarray,
-) -> tuple:
-    """Prefix-sum minima over one batch of unit-norm net points, and the
-    first rank attaining each.
+) -> None:
+    """Fold one batch of unit-norm net points, of first rank ``offset``,
+    into a worker's prefix-sum minima ``alpha`` and first attaining ranks
+    ``argmin``, in place: a column takes the batch's value only where it
+    is strictly smaller, and a worker takes its batches in rank order.
 
     The batch's rows x N correlations are computed, sorted and scanned in
-    the first len(psi_rows) rows of ``buf``, the calling worker's buffer;
-    nothing returned refers to it.  Ranks are searched only in columns
-    that beat ``best``, the minima of the batches merged when this one was
-    submitted; other columns get _NO_RANK.  Such a column already has an
-    attaining point of lower rank, and the merge takes a batch's value
-    only where it is strictly smaller, so merged witnesses stay the first
-    attaining ranks whatever ``best`` lags behind.  Those columns are
-    gathered in blocks of at most _GATHER_BYTES, so a witness search
-    never copies the whole batch.
+    the first len(psi_rows) rows of ``buf``, the worker's buffer.  Columns
+    are gathered for witness ranks in blocks of at most _GATHER_BYTES, so
+    a witness search never copies the whole batch.
     """
     prefix = np.matmul(psi_rows, phi, out=buf[: len(psi_rows)])
     np.square(prefix, out=prefix)
     prefix.sort(axis=1)
     np.cumsum(prefix, axis=1, out=prefix)
-    alpha = prefix.min(axis=0)
-    rank = np.full(phi.shape[1], _NO_RANK, dtype=np.int64)
-    idx = np.flatnonzero(alpha < best)
+    part = prefix.min(axis=0)
+    idx = np.flatnonzero(part < alpha)
+    alpha[idx] = part[idx]
     width = max(1, _GATHER_BYTES // (8 * len(prefix)))
     for start in range(0, len(idx), width):
         block = idx[start : start + width]
-        rank[block] = prefix[:, block].argmin(axis=0) + offset
-    return alpha, rank
+        argmin[block] = prefix[:, block].argmin(axis=0) + offset
 
 
 def _net_psi_chunks(config: NetConfig, rows: int):
@@ -145,13 +139,6 @@ def _net_psi_chunks(config: NetConfig, rows: int):
             batch = levels[start : start + rows]
             yield _psi_from_levels(batch, config), offset + start
         offset += len(levels)
-
-
-def _run_now(fn, *args) -> Future:
-    """A future already holding fn(*args), computed in the calling thread."""
-    job = Future()
-    job.set_result(fn(*args))
-    return job
 
 
 def resolve_threads(threads: int) -> int:
@@ -176,61 +163,66 @@ def sweep_all_K(
     which beta_eps[K] = N/M - alpha_eps[N-K] needs.  beta_eps[N] is N/M
     exactly, with witness rank 0: every point attains the empty complement.
 
-    One loop at every thread count: batches of chunk_rows(N) points, cut
-    from the walker's blocks, go through a FIFO window with 4*threads in
-    flight to a pool of ``threads`` workers, and are merged in rank order,
-    a batch's value taken only where it is strictly smaller.  So results
-    are independent of chunking and thread count: per-point sums are
-    computed identically everywhere, and each witness is the first
-    attaining rank.  The merge builds new arrays, so the minima a worker
-    was given are never written.  Each worker computes its batches in one
-    chunk_rows(N) x N buffer of its own, allocated at its first batch and
-    dropped with the sweep, so no batch waits for a buffer and the
-    sweep's working set is about ``threads`` such buffers plus witness
-    gathers of at most _GATHER_BYTES each.  At one thread the window
-    holds one batch, computed in the calling thread: handing each batch
-    to a pool thread costs two thread wake-ups, which made one-thread
-    runs 10-30 % slower on a 2-vCPU VM.  With ``progress`` a line goes to
-    stderr each time the count passes a multiple of _PROGRESS_EVERY, and
-    one final line gives the total.
+    One loop at every thread count: ``threads`` workers (the calling
+    thread and threads - 1 pool threads) each take the walker's next batch
+    of chunk_rows(N) points under one lock and fold it into minima and
+    witnesses of their own, in one chunk_rows(N) x N buffer of their own;
+    so the working set is about ``threads`` buffers plus witness gathers
+    of at most _GATHER_BYTES each.  The workers' results are merged once
+    at the end by elementwise min, a tie going to the smaller rank.  So
+    results are independent of chunking and thread count: per-point sums
+    are computed identically everywhere, and each witness is the first
+    attaining rank.  A worker that raises, the calling thread included
+    when interrupted, closes the walker, so the others stop after their
+    current batch, and the first exception is re-raised.  With
+    ``progress`` a line goes to stderr each time the count of swept
+    points passes a multiple of _PROGRESS_EVERY, and one final line gives
+    the total.
     """
     threads = resolve_threads(threads)
     rows = chunk_rows(frame.N)
-    buffers = threading.local()  # one per worker, dropped with the sweep
-
-    def accumulate(psi_rows, offset, best):
-        if not hasattr(buffers, "buf"):
-            buffers.buf = np.empty((rows, frame.N))
-        return _chunk_accumulate(
-            frame.matrix, psi_rows, offset, best, buffers.buf
-        )
-
-    alpha = np.full(frame.N, np.inf)
-    argmin = np.zeros(frame.N, dtype=np.int64)
+    chunks = _net_psi_chunks(config, rows)
+    lock = threading.Lock()  # guards chunks, done, shown and errors
+    errors = []
     done = shown = 0
-    window = deque()
-    with ThreadPoolExecutor(threads) as pool:
-        submit, depth = (
-            (pool.submit, 4 * threads) if threads > 1 else (_run_now, 1)
-        )
-        for batch in chain(_net_psi_chunks(config, rows), [None]):
-            if batch is not None:
+
+    def work():
+        nonlocal done, shown
+        alpha = np.full(frame.N, np.inf)
+        argmin = np.full(frame.N, _NO_RANK, dtype=np.int64)
+        buf = np.empty((rows, frame.N))
+        points = 0
+        try:
+            while True:
+                with lock:
+                    done += points
+                    if progress and done // _PROGRESS_EVERY > shown // _PROGRESS_EVERY:
+                        shown = done
+                        print(f"  swept {done} net points", file=sys.stderr)
+                    batch = next(chunks, None)
+                if batch is None:
+                    return alpha, argmin
                 psi_rows, offset = batch
-                job = submit(accumulate, psi_rows, offset, alpha)
-                window.append((len(psi_rows), job))
-            while window and (batch is None or len(window) >= depth):
-                points, job = window.popleft()
-                part, rank = job.result()
-                take = part < alpha
-                alpha = np.where(take, part, alpha)
-                argmin = np.where(take, rank, argmin)
-                done += points
-                if progress and done // _PROGRESS_EVERY > shown // _PROGRESS_EVERY:
-                    shown = done
-                    print(f"  swept {done} net points", file=sys.stderr)
+                points = len(psi_rows)
+                _chunk_accumulate(frame.matrix, psi_rows, offset, alpha, argmin, buf)
+        except BaseException as exc:  # re-raised by the calling thread
+            with lock:
+                chunks.close()
+                errors.append(exc)
+
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
+        jobs = [pool.submit(work) for _ in range(threads - 1)]
+        parts = [work()] + [job.result() for job in jobs]
+    if errors:
+        raise errors[0]
     if progress and shown != done:
         print(f"  swept {done} net points", file=sys.stderr)
 
+    alpha, argmin = parts[0]
+    for part, rank in parts[1:]:
+        take = (part < alpha) | ((part == alpha) & (rank < argmin))
+        alpha = np.where(take, part, alpha)
+        argmin = np.where(take, rank, argmin)
     if done == 0:
         raise InvariantViolationError("net is empty; nothing to sweep")
     if np.any(argmin == _NO_RANK):

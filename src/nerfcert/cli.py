@@ -134,6 +134,17 @@ def _cmd_build_net(args) -> int:
     return EXIT_OK
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size in MiB: VmHWM where /proc/self/status exists,
+    else ru_maxrss (KiB on Linux, where it starts at the launcher's size)."""
+    try:
+        with open("/proc/self/status") as fh:
+            hwm = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
+        return int(hwm[0]) / 1024
+    except (OSError, IndexError):
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     frame = read_frame(args.frame)
@@ -183,11 +194,7 @@ def _cmd_estimate(args) -> int:
                 if sweep_s > 0
                 else None,
             },
-            "memory": {  # the process's high-water mark; KiB on Linux
-                "peak_rss_mb": resource.getrusage(
-                    resource.RUSAGE_SELF
-                ).ru_maxrss / 1024,
-            },
+            "memory": {"peak_rss_mb": _peak_rss_mb()},
             "results": {
                 "min_spanning_K": k_span,
                 "condition_number_bound_at_min_spanning_K": cond,

@@ -29,7 +29,7 @@ LEVEL_SEARCH_CAP = 10**6
 # Conservative slack for branch-and-bound cuts; boundary-adjacent leaves
 # are re-evaluated with exactly rounded sums (math.fsum).
 _BB_MARGIN = 1e-12
-_SLICE_NODES = 2**14  # children per frontier slice; bounds the walk's memory
+_SLICE_NODES = 2**13  # children per frontier slice; bounds the walk's memory
 
 __all__ = [
     "NetConfig",

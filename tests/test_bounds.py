@@ -1,9 +1,11 @@
 """Net sweep, certification algebra, and the bounds CSV format."""
 
+import itertools
 import json
 import math
 import re
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -214,8 +216,8 @@ class TestSweep:
         monkeypatch.setattr(epsnet, "_SLICE_NODES", 16)
         monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
         assert len(list(epsnet._level_arrays(config))) == 92
-        # More workers than cores, switching threads often: workers read
-        # the minima while the main thread merges.
+        # More workers than cores, switching threads often: workers take
+        # batches from the walker while others fold theirs in.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -229,6 +231,60 @@ class TestSweep:
                     getattr(table, name), getattr(default, name)
                 )
 
+    def test_out_of_order_batches_keep_first_ranks(
+        self, frame_4_12, monkeypatch
+    ):
+        # Batches of even index sleep, so three workers take the 158
+        # batches far out of rank order.  Net rows rounded to halves score
+        # alike, so the workers' minima tie at columns first attained in
+        # batches 0, 13, 18, 72 and 73, and the merge must pick the first.
+        kernel, chunks = bounds._chunk_accumulate, bounds._net_psi_chunks
+
+        def slow_even(phi, psi_rows, offset, alpha, argmin, buf):
+            if offset // 7 % 2 == 0:
+                time.sleep(1e-3)
+            kernel(phi, psi_rows, offset, alpha, argmin, buf)
+
+        def rounded(config, rows):
+            for psi_rows, offset in chunks(config, rows):
+                yield np.round(2 * psi_rows) / 2, offset
+
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        monkeypatch.setattr(bounds, "_chunk_accumulate", slow_even)
+        monkeypatch.setattr(bounds, "_net_psi_chunks", rounded)
+        config = NetConfig.create(4, 0.25)
+        table = sweep_all_K(frame_4_12, config, threads=3)
+        prefix = all_prefix_sums(frame_4_12, config)
+        largest = np.hstack([3.0 - prefix[:, -2::-1], np.full((1106, 1), 3.0)])
+        argmin, argmax = first_ranks(prefix)
+        assert np.array_equal(table.alpha_eps, prefix.min(axis=0))
+        assert np.array_equal(table.beta_eps, largest.max(axis=0))
+        assert np.array_equal(table.argmin_r, argmin)
+        assert np.array_equal(table.argmax_r, argmax)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_failing_batch_stops_every_worker(
+        self, frame_4_12, monkeypatch, threads
+    ):
+        # The third batch raises; each other worker then finishes only the
+        # batch it holds, and the sweep re-raises that exception.
+        kernel = bounds._chunk_accumulate
+        calls = itertools.count(1)
+        boom = RuntimeError("kernel failed")
+
+        def fail_third(*args):
+            if next(calls) == 3:
+                raise boom
+            time.sleep(1e-3)
+            kernel(*args)
+
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        monkeypatch.setattr(bounds, "_chunk_accumulate", fail_third)
+        with pytest.raises(RuntimeError) as err:
+            sweep_all_K(frame_4_12, NetConfig.create(4, 0.25), threads=threads)
+        assert err.value is boom
+        assert next(calls) - 1 <= 3 + (threads - 1)
+
     def test_step_points_are_the_swept_rows(self):
         # One psi construction: a rebuilt point is bitwise the row scored.
         config = NetConfig.create(4, 0.25)
@@ -241,10 +297,9 @@ class TestSweep:
     def test_missing_witness_rejected(self, frame_4_12, monkeypatch):
         kernel = bounds._chunk_accumulate
 
-        def lose_witnesses(*args):
-            alpha, rank = kernel(*args)
-            rank[:] = bounds._NO_RANK
-            return alpha, rank
+        def lose_witnesses(phi, psi_rows, offset, alpha, argmin, buf):
+            kernel(phi, psi_rows, offset, alpha, argmin, buf)
+            argmin[:] = bounds._NO_RANK
 
         monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
         with pytest.raises(InvariantViolationError):

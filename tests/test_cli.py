@@ -1,11 +1,16 @@
 """End-to-end checks of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nerfcert
 from nerfcert import (
     FrameMatrix,
     GeneratorSpec,
@@ -96,6 +101,25 @@ class TestEstimate:
         peak = payload["memory"]["peak_rss_mb"]
         assert isinstance(peak, float) and peak > 0
 
+    def test_peak_rss_not_inherited_from_launcher(self, frame_file, tmp_path):
+        # On Linux ru_maxrss starts at the launching process's resident
+        # size; the reported peak must be the child's own.
+        hold = np.ones(26 * 2**20)  # 208 MiB, touched
+        rep = tmp_path / "run.json"
+        src = str(Path(nerfcert.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "nerfcert.cli", "estimate",
+                "-f", str(frame_file), "--eps-sq", "0.5",
+                "-o", str(tmp_path / "bounds.csv"), "--report", str(rep),
+            ],
+            env=env, capture_output=True, timeout=120,
+        )
+        del hold
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(rep.read_text())["memory"]["peak_rss_mb"] < 150
+
     def test_byte_identical_across_threads(self, frame_file, tmp_path):
         out = {}
         for threads in ("1", "8"):
@@ -133,10 +157,9 @@ class TestEstimate:
     ):
         kernel = bounds._chunk_accumulate
 
-        def lose_witnesses(*args):
-            alpha, rank = kernel(*args)
-            rank[:] = bounds._NO_RANK
-            return alpha, rank
+        def lose_witnesses(phi, psi_rows, offset, alpha, argmin, buf):
+            kernel(phi, psi_rows, offset, alpha, argmin, buf)
+            argmin[:] = bounds._NO_RANK
 
         monkeypatch.setattr(bounds, "_chunk_accumulate", lose_witnesses)
         csv = tmp_path / "x.csv"
