@@ -16,7 +16,6 @@ bounds.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import threading
@@ -60,8 +59,8 @@ class BoundsTable:
     argmin_r: np.ndarray  # net point rank attaining alpha_eps[K]
     argmax_r: np.ndarray
     net_points_used: int
-    L: Optional[int] = None
-    delta: Optional[float] = None
+    L: int
+    delta: float
     alpha_lower: Optional[np.ndarray] = None
     beta_upper: Optional[np.ndarray] = None
 
@@ -303,11 +302,15 @@ def condition_number_bound(table: BoundsTable, K: int) -> Optional[float]:
 
 
 def write_bounds_csv(table: BoundsTable, path) -> None:
-    """Bounds report CSV with a JSON header comment line.
+    """Certified bounds CSV: one JSON header line with exactly the keys
+    :func:`read_bounds_csv` requires, then one row per K.  Refuses an
+    uncertified table, so every bounds CSV carries its certificate.
 
     Timing is deliberately left to the JSON run report so identical
     configurations produce byte-identical CSVs.
     """
+    if not table.certified:
+        raise InvalidInputError("table must be certified first")
     header = {
         "M": table.M,
         "N": table.N,
@@ -315,7 +318,6 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
         "L": table.L,
         "delta": table.delta,
         "net_points_used": table.net_points_used,
-        "cap_mode": "untf",  # the one cap, N/M; kept so CSV bytes hold
     }
     nm = table.N / table.M
     with open(path, "w") as fh:
@@ -326,20 +328,19 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
         )
         for i in range(table.N):
             k = i + 1
-            alo = table.alpha_lower[i] if table.certified else math.nan
-            bup = table.beta_upper[i] if table.certified else math.nan
             fh.write(
                 f"{k},{table.alpha_eps[i]:.17g},{table.beta_eps[i]:.17g},"
-                f"{alo:.17g},{bup:.17g},"
+                f"{table.alpha_lower[i]:.17g},{table.beta_upper[i]:.17g},"
                 f"{k - (table.N - nm):.17g},{nm:.17g}\n"
             )
 
 
 def read_bounds_csv(path) -> BoundsTable:
-    """Read a CSV written by :func:`write_bounds_csv`.  The K column must
-    read 1..N in order, and every cell must be finite but the alpha_lower
-    and beta_upper of an uncertified table, which are NaN in every row.
-    The header's cap_mode is not read."""
+    """Read a CSV written by :func:`write_bounds_csv` into a certified
+    table.  The header must give M and N, positive integers, and
+    epsilon_sq, L, delta and net_points_used; other keys are ignored.  The
+    K column must read 1..N in order, and every cell must be finite.
+    Witness ranks are not in the CSV and read as 0."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first = fh.readline()
@@ -349,6 +350,7 @@ def read_bounds_csv(path) -> BoundsTable:
             raise ValueError("missing JSON header line")
         meta = json.loads(first[2:])
         m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
+        L, delta, points = meta["L"], meta["delta"], meta["net_points_used"]
         if not all(type(v) is int and v > 0 for v in (m, n)):
             raise ValueError(f"M and N must be positive integers, got {m}, {n}")
         cols = (
@@ -366,12 +368,10 @@ def read_bounds_csv(path) -> BoundsTable:
         )
     if not np.array_equal(cols[:, 0], np.arange(1, n + 1)):
         raise InvalidInputError(f"{path}: K column is not 1..{n} in order")
-    certified = not np.all(np.isnan(cols[:, 3:5]))
-    checked = cols if certified else cols[:, [0, 1, 2, 5, 6]]
-    bad = np.flatnonzero(~np.isfinite(checked).all(axis=1))
+    bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
     if bad.size:
         raise InvalidInputError(f"{path}: non-finite cell at K={bad[0] + 1}")
-    table = BoundsTable(
+    return BoundsTable(
         M=m,
         N=n,
         epsilon_sq=eps_sq,
@@ -379,11 +379,9 @@ def read_bounds_csv(path) -> BoundsTable:
         beta_eps=cols[:, 2],
         argmin_r=np.zeros(n, dtype=np.int64),
         argmax_r=np.zeros(n, dtype=np.int64),
-        net_points_used=meta.get("net_points_used", 0),
-        L=meta.get("L"),
-        delta=meta.get("delta"),
+        net_points_used=points,
+        L=L,
+        delta=delta,
+        alpha_lower=cols[:, 3],
+        beta_upper=cols[:, 4],
     )
-    if certified:
-        table.alpha_lower = cols[:, 3]
-        table.beta_upper = cols[:, 4]
-    return table

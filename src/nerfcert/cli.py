@@ -217,14 +217,10 @@ def _cmd_oracle(args) -> int:
                 f"{args.check}: bounds of a {table.M}x{table.N} frame, "
                 f"but {args.frame} is {frame.M}x{frame.N}"
             )
-        if not table.certified:
-            raise InvalidInputError(
-                f"{args.check}: estimate CSV carries no certified bounds"
-            )
     results = exact_bounds_all_K(
         frame, k_min=args.k_min, k_max=args.k_max, budget=args.budget
     )
-    write_oracle_csv(results, args.output)
+    write_oracle_csv(results, args.output, frame.M)
     if args.check:
         tol = 1e-9
         for res in results:
@@ -250,19 +246,17 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
-    oracle_rows = read_oracle_csv(args.oracle, est.N) if args.oracle else {}
+    oracle_rows = read_oracle_csv(args.oracle, est.M, est.N) if args.oracle else {}
     lines = [
         "K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper"
     ]
     for i in range(est.N):
         k = i + 1
         exact = oracle_rows.get(k, (math.nan, math.nan))
-        alo = est.alpha_lower[i] if est.certified else math.nan
-        bup = est.beta_upper[i] if est.certified else math.nan
         lines.append(
-            f"{k},{alo:.17g},{est.alpha_eps[i]:.17g},"
+            f"{k},{est.alpha_lower[i]:.17g},{est.alpha_eps[i]:.17g},"
             f"{exact[0]:.17g},{exact[1]:.17g},"
-            f"{est.beta_eps[i]:.17g},{bup:.17g}"
+            f"{est.beta_eps[i]:.17g},{est.beta_upper[i]:.17g}"
         )
     text = "\n".join(lines) + "\n"
     if args.output:

@@ -19,11 +19,6 @@ class OracleInfeasibleError(NerfCertError, RuntimeError):
     def __init__(
         self, n: int, k_min: int, k_max: int, subsets: int, budget: int
     ):
-        self.n = n
-        self.k_min = k_min
-        self.k_max = k_max
-        self.subsets = subsets
-        self.budget = budget
         what = (
             f"C({n},{k_min})"
             if k_min == k_max

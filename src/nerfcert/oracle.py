@@ -24,7 +24,7 @@ from .frames import FrameMatrix
 DEFAULT_BUDGET = 10**7
 _BATCH_BYTES = 4 * 2**20  # per B x min(K, N-K) x M float64 column stack
 _CSV_HEADER = (
-    "K,alpha_exact,beta_exact,witness_alpha,witness_beta,subsets_examined"
+    "K,alpha_exact,beta_exact,witness_alpha,witness_beta,subsets_examined,M"
 )
 
 __all__ = [
@@ -125,8 +125,10 @@ def exact_bounds_all_K(
     return [exact_bounds(frame, k, budget) for k in range(k_min, k_max + 1)]
 
 
-def write_oracle_csv(results: List[OracleResult], path) -> None:
-    """Oracle report CSV; witness indices are 1-based, semicolon-joined."""
+def write_oracle_csv(results: List[OracleResult], path, M: int) -> None:
+    """Oracle report CSV of an M-row frame; witness indices are 1-based,
+    semicolon-joined, and every row names M so that a reader can refuse
+    the bounds of another frame."""
     with open(path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
         for res in results:
@@ -135,14 +137,15 @@ def write_oracle_csv(results: List[OracleResult], path) -> None:
             wb = ";".join([str(i + 1) for i in res.witness_beta])
             fh.write(
                 f"{res.K},{res.alpha:.17g},{res.beta:.17g},"
-                f"{wa},{wb},{res.subsets_examined}\n"
+                f"{wa},{wb},{res.subsets_examined},{M}\n"
             )
 
 
-def read_oracle_csv(path, N: int) -> dict:
+def read_oracle_csv(path, M: int, N: int) -> dict:
     """Exact (alpha, beta) by K from a :func:`write_oracle_csv` file of an
-    N-column frame.  Refuses another header, a row of another width, a K
-    outside 1..N or repeated, and a bound that is not finite."""
+    M x N frame.  Refuses another header, a row of another width or of
+    another M, a K outside 1..N or repeated, and a bound that is not
+    finite."""
     exact = {}
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
@@ -150,9 +153,11 @@ def read_oracle_csv(path, N: int) -> dict:
         if header != _CSV_HEADER:
             raise ValueError(f"expected header {_CSV_HEADER!r}")
         for cells in (row.split(",") for row in rows):
-            if len(cells) != 6:
-                raise ValueError(f"row with {len(cells)} cells, expected 6")
+            if len(cells) != 7:
+                raise ValueError(f"row with {len(cells)} cells, expected 7")
             K = int(cells[0])
+            if int(cells[6]) != M:
+                raise ValueError(f"bounds of an M={cells[6]} frame, not M={M}")
             if not 1 <= K <= N or K in exact:
                 raise ValueError(f"K={K} repeated or outside 1..{N}")
             exact[K] = (float(cells[1]), float(cells[2]))

@@ -513,14 +513,30 @@ class TestCsv:
         assert back.certified
         assert np.array_equal(back.alpha_eps, table.alpha_eps)
         assert np.array_equal(back.alpha_lower, table.alpha_lower)
-        header = json.loads(path.read_text().splitlines()[0][2:])
-        assert header["cap_mode"] == "untf"
+        assert (back.L, back.delta, back.net_points_used) == (
+            table.L, table.delta, table.net_points_used
+        )
 
-    def test_uncertified_round_trip(self, table_4_12, tmp_path):
+    def test_uncertified_table_refused(self, table_4_12, tmp_path):
         path = tmp_path / "bounds.csv"
-        write_bounds_csv(table_4_12, path)
-        back = read_bounds_csv(path)
-        assert not back.certified
+        with pytest.raises(InvalidInputError, match="certified"):
+            write_bounds_csv(table_4_12, path)
+        assert not path.exists()
+
+    def test_header_keys_are_the_required_keys(self, frame_4_12, tmp_path):
+        # Every key the writer emits is one the reader requires, and the
+        # reader requires no other: the full header reads back.
+        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
+        path = tmp_path / "bounds.csv"
+        write_bounds_csv(table, path)
+        read_bounds_csv(path)
+        first, *rest = path.read_text().splitlines(keepends=True)
+        header = json.loads(first[2:])
+        for key in header:
+            short = {k: v for k, v in header.items() if k != key}
+            path.write_text("# " + json.dumps(short) + "\n" + "".join(rest))
+            with pytest.raises(InvalidInputError, match=f"KeyError: '{key}'"):
+                read_bounds_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

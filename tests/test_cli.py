@@ -14,7 +14,6 @@ import nerfcert
 from nerfcert import (
     FrameMatrix,
     GeneratorSpec,
-    NetConfig,
     bounds,
     orbit_signed_permutations,
     verify_group_invariance,
@@ -28,6 +27,14 @@ from nerfcert.cli import (
     EXIT_USAGE_IO,
     main,
 )
+
+
+def _header(**edits):
+    """The 4x12 eps^2 1/2 bounds-CSV header line with keys replaced, or
+    dropped where the new value is None."""
+    meta = {"M": 4, "N": 12, "epsilon_sq": 0.5, "L": 6,
+            "delta": 0.7790778080544442, "net_points_used": 44, **edits}
+    return "# " + json.dumps({k: v for k, v in meta.items() if v is not None})
 
 
 @pytest.fixture()
@@ -350,22 +357,6 @@ class TestOracle:
         assert err.startswith("error:") and "4x12 frame" in err
         assert "Traceback" not in err
 
-    def test_uncertified_check_refused(self, frame_file, tmp_path, capsys):
-        est = tmp_path / "uncertified.csv"
-        frame = orbit_signed_permutations(GeneratorSpec(4, 2))
-        table = bounds.sweep_all_K(frame, NetConfig.create(4, 0.5))
-        bounds.write_bounds_csv(table, est)
-        code = main(
-            [
-                "oracle", "-f", str(frame_file), "--k-min", "12", "--check",
-                str(est), "-o", str(tmp_path / "oracle.csv"),
-            ]
-        )
-        assert code == EXIT_USAGE_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and str(est) in err
-        assert "Traceback" not in err
-
 
 class TestMalformedInput:
     """Unparseable input files exit 2 with a message naming the file."""
@@ -419,19 +410,23 @@ class TestMalformedInput:
         "line, text",
         [
             (0, '# {"M": 4'),
-            (0, '# {"M": 4, "epsilon_sq": 0.5}'),
+            (0, _header(N=None)),
             (2, "1,0.5,x,0,0,0,0"),
             (2, "1,0.5"),
-            (0, '# {"M": 4, "N": 12.0, "epsilon_sq": 0.5}'),
-            (0, '# {"M": true, "N": 12, "epsilon_sq": 0.5}'),
+            (0, _header(N=12.0)),
+            (0, _header(M=True)),
             (2, "1,nan,0,-1.5,0,-8,3"),
             (2, "1,inf,0,-1.5,0,-8,3"),
             (2, "1,0,0,nan,0,-8,3"),
+            (0, _header(L=None)),
+            (0, _header(delta=None)),
+            (0, _header(net_points_used=None)),
         ],
         ids=[
             "truncated_header", "header_without_N", "non_numeric_cell",
             "short_row", "float_N", "bool_M", "nan_alpha_eps",
-            "inf_alpha_eps", "nan_alpha_lower_cell",
+            "inf_alpha_eps", "nan_alpha_lower_cell", "header_without_L",
+            "header_without_delta", "header_without_net_points_used",
         ],
     )
     def test_malformed_bounds_csv(
@@ -456,6 +451,26 @@ class TestMalformedInput:
         estimate_csv.write_text("\n".join(lines) + "\n")
         argv = ["oracle", "-f", str(frame_file), "--k-min", "12", "--check",
                 str(estimate_csv), "-o", str(tmp_path / "oracle.csv")]
+        self.assert_refused(argv, estimate_csv, capsys)
+
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    def test_nan_endpoints_refused(
+        self, frame_file, estimate_csv, tmp_path, capsys, command
+    ):
+        # NaN alpha_lower and beta_upper in every row, the retired format
+        # of a table with no certificate: refused like any non-finite cell.
+        lines = estimate_csv.read_text().splitlines()
+        for i in range(2, len(lines)):
+            cells = lines[i].split(",")
+            cells[3] = cells[4] = "nan"
+            lines[i] = ",".join(cells)
+        estimate_csv.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "oracle": ["oracle", "-f", str(frame_file), "--k-min", "12",
+                       "--check", str(estimate_csv), "-o", out],
+            "report": ["report", "--estimate", str(estimate_csv), "-o", out],
+        }[command]
         self.assert_refused(argv, estimate_csv, capsys)
 
     @pytest.mark.parametrize("command", ["oracle", "report"])
@@ -504,8 +519,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "row",
         [
-            "12,3.0", "0,0,0,1,1,1", "13,3,3,1,1,1", "12,3,3,1,1,1",
-            "11,nan,3,1,1,1",
+            "12,3.0", "0,0,0,1,1,1,4", "13,3,3,1,1,1,4", "12,3,3,1,1,1,4",
+            "11,nan,3,1,1,1,4",
         ],
         ids=["short_row", "K_zero", "K_above_N", "duplicate_K", "nan_alpha"],
     )
@@ -513,8 +528,21 @@ class TestMalformedInput:
         oracle = tmp_path / "oracle.csv"
         oracle.write_text(
             "K,alpha_exact,beta_exact,witness_alpha,witness_beta,"
-            f"subsets_examined\n12,3,3,1,1,1\n{row}\n"
+            f"subsets_examined,M\n12,3,3,1,1,1,4\n{row}\n"
         )
+        argv = ["report", "--estimate", str(estimate_csv), "--oracle",
+                str(oracle), "-o", str(tmp_path / "merged.csv")]
+        self.assert_refused(argv, oracle, capsys)
+
+    def test_oracle_csv_of_another_M_refused(
+        self, estimate_csv, tmp_path, capsys
+    ):
+        # The 12x12 frame of the standard basis has the estimate's N but
+        # not its M; its exact alpha_11 = 0 is no bound of the 4x12 frame.
+        other, oracle = tmp_path / "other.txt", tmp_path / "oracle.csv"
+        main(["gen-frame", "-M", "12", "-k", "1", "-o", str(other)])
+        assert main(["oracle", "-f", str(other), "--k-min", "11",
+                     "-o", str(oracle)]) == EXIT_OK
         argv = ["report", "--estimate", str(estimate_csv), "--oracle",
                 str(oracle), "-o", str(tmp_path / "merged.csv")]
         self.assert_refused(argv, oracle, capsys)

@@ -16,7 +16,7 @@ from nerfcert import (
     verify_untf,
 )
 from nerfcert.errors import InvalidInputError, OracleInfeasibleError
-from nerfcert.oracle import write_oracle_csv
+from nerfcert.oracle import read_oracle_csv, write_oracle_csv
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +159,7 @@ class TestOracleCsv:
     def test_write(self, frame_4_12, tmp_path):
         results = exact_bounds_all_K(frame_4_12, k_min=11, k_max=12)
         path = tmp_path / "oracle.csv"
-        write_oracle_csv(results, path)
+        write_oracle_csv(results, path, frame_4_12.M)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("K,alpha_exact,beta_exact")
         assert len(lines) == 3
@@ -167,3 +167,6 @@ class TestOracleCsv:
         assert last[0] == "12"
         # Witness indices are written 1-based.
         assert last[3].split(";")[0] == "1"
+        assert last[-1] == "4"
+        exact = read_oracle_csv(path, 4, 12)
+        assert exact == {res.K: (res.alpha, res.beta) for res in results}
