@@ -8,8 +8,6 @@ certified intervals actually containing the exact optimal bounds.
 Run:  python demos/certify_4_12.py
 """
 
-import numpy as np
-
 from nerfcert import (
     GeneratorSpec,
     NetConfig,
@@ -22,6 +20,7 @@ from nerfcert import (
     sweep_all_K,
     verify_untf,
 )
+from nerfcert.bounds import require_sandwich
 
 
 def main():
@@ -52,18 +51,9 @@ def main():
             f"   {res.beta:.4f}   {table.beta_upper[i]:.4f}"
         )
 
-    # Slack of 1e-9 absorbs eigensolver noise at exact-equality points.
-    tol = 1e-9
-    sandwich_ok = all(
-        table.alpha_lower[r.K - 1] - tol
-        <= r.alpha
-        <= table.alpha_eps[r.K - 1] + tol
-        and table.beta_eps[r.K - 1] - tol
-        <= r.beta
-        <= table.beta_upper[r.K - 1] + tol
-        for r in exact
-    )
-    print(f"\ncertified intervals contain the exact bounds: {sandwich_ok}")
+    # Raises InvariantViolationError at the first K outside its interval.
+    require_sandwich(table, {r.K: (r.alpha, r.beta) for r in exact})
+    print("\ncertified intervals contain the exact bounds at every K")
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ __all__ = [
     "trivial_untf_bounds",
     "min_spanning_K",
     "condition_number_bound",
+    "require_sandwich",
     "write_bounds_csv",
     "read_bounds_csv",
 ]
@@ -299,6 +300,21 @@ def condition_number_bound(table: BoundsTable, K: int) -> Optional[float]:
     if lower <= 0:
         return None
     return float(table.beta_upper[K - 1] / lower)
+
+
+def require_sandwich(table: BoundsTable, exact: dict) -> None:
+    """Raise InvariantViolationError at the first K whose exact bounds
+    ``exact[K] = (alpha_K, beta_K)`` leave [alpha_lower, alpha_eps] or
+    [beta_eps, beta_upper] by more than 1e-9, the eigensolver's noise."""
+    tol = 1e-9
+    for k, (a, b) in sorted(exact.items()):
+        lo, ae = table.alpha_lower[k - 1], table.alpha_eps[k - 1]
+        be, up = table.beta_eps[k - 1], table.beta_upper[k - 1]
+        if not (lo <= a + tol and a <= ae + tol and be <= b + tol and b <= up + tol):
+            raise InvariantViolationError(
+                f"sandwich violated at K={k}: alpha in [{lo}, {ae}] vs {a}; "
+                f"beta in [{be}, {up}] vs {b}"
+            )
 
 
 def write_bounds_csv(table: BoundsTable, path) -> None:

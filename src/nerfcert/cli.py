@@ -25,6 +25,7 @@ from .bounds import (
     condition_number_bound,
     min_spanning_K,
     read_bounds_csv,
+    require_sandwich,
     resolve_threads,
     sweep_all_K,
     write_bounds_csv,
@@ -174,7 +175,6 @@ def _cmd_estimate(args) -> int:
                 "epsilon_sq": args.eps_sq,
                 "L": config.L,
                 "delta": f"{config.delta:.17g}",
-                "cap_mode": "untf",
                 "threads": resolve_threads(args.threads),
                 "frame_file": args.frame,
             },
@@ -222,24 +222,7 @@ def _cmd_oracle(args) -> int:
     )
     write_oracle_csv(results, args.output, frame.M)
     if args.check:
-        tol = 1e-9
-        for res in results:
-            i = res.K - 1
-            ok = (
-                table.alpha_lower[i] <= res.alpha + tol
-                and res.alpha <= table.alpha_eps[i] + tol
-                and table.beta_eps[i] <= res.beta + tol
-                and res.beta <= table.beta_upper[i] + tol
-            )
-            if not ok:
-                print(
-                    f"sandwich violated at K={res.K}: "
-                    f"alpha in [{table.alpha_lower[i]}, {table.alpha_eps[i]}] "
-                    f"vs {res.alpha}; beta in [{table.beta_eps[i]}, "
-                    f"{table.beta_upper[i]}] vs {res.beta}",
-                    file=sys.stderr,
-                )
-                return EXIT_INVARIANT
+        require_sandwich(table, {r.K: (r.alpha, r.beta) for r in results})
         print("sandwich verified")
     return EXIT_OK
 
@@ -247,6 +230,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
     oracle_rows = read_oracle_csv(args.oracle, est.M, est.N) if args.oracle else {}
+    require_sandwich(est, oracle_rows)
     lines = [
         "K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper"
     ]

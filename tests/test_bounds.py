@@ -1,5 +1,6 @@
 """Net sweep, certification algebra, and the bounds CSV format."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -31,6 +32,7 @@ from nerfcert import (
 from nerfcert.bounds import (
     chunk_rows,
     read_bounds_csv,
+    require_sandwich,
     resolve_threads,
     write_bounds_csv,
 )
@@ -442,6 +444,44 @@ class TestDualityM8Tail(DualityChecks):
     @pytest.fixture(scope="class")
     def eps_sq(self):
         return 0.5
+
+
+class TestRequireSandwich:
+    """The one sandwich check, on the 5x20 frame against its eps^2 1/4
+    table at every K."""
+
+    @pytest.fixture(scope="class")
+    def table(self, oracle_5_20):
+        return certify(sweep_all_K(oracle_5_20[0], NetConfig.create(5, 0.25)))
+
+    @pytest.fixture(scope="class")
+    def exact(self, oracle_5_20):
+        return {r.K: (r.alpha, r.beta) for r in oracle_5_20[1]}
+
+    def test_exact_bounds_pass(self, table, exact):
+        assert sorted(exact) == list(range(1, 21))
+        require_sandwich(table, exact)
+        require_sandwich(table, {})
+
+    @pytest.mark.parametrize("K", [1, 13, 20])
+    @pytest.mark.parametrize(
+        "endpoint, side, sign",
+        [("alpha_lower", 0, 1), ("alpha_eps", 0, -1),
+         ("beta_eps", 1, 1), ("beta_upper", 1, -1)],
+    )
+    def test_slack_is_1e_9(self, table, exact, K, endpoint, side, sign):
+        # One endpoint moved past the exact value at one K: 5e-10 lies in
+        # the slack, 2e-9 does not.
+        for shift, passes in ((5e-10, True), (2e-9, False)):
+            moved = dataclasses.replace(
+                table, **{endpoint: getattr(table, endpoint).copy()}
+            )
+            getattr(moved, endpoint)[K - 1] = exact[K][side] + sign * shift
+            if passes:
+                require_sandwich(moved, exact)
+            else:
+                with pytest.raises(InvariantViolationError, match=f"K={K}:"):
+                    require_sandwich(moved, exact)
 
 
 class TestDerivedQuantities:

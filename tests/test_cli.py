@@ -44,6 +44,19 @@ def frame_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def broken_pair(frame_file, tmp_path, capsys):
+    """A random unit-norm 4x12 frame, whose exact bounds leave the 4x12
+    orbit's eps^2 1/2 intervals from K=9 on, and that orbit's bounds CSV."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((4, 12))
+    write_frame(FrameMatrix(a / np.linalg.norm(a, axis=0)), tmp_path / "rand.txt")
+    assert main(["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                 "-o", str(tmp_path / "b.csv")]) == EXIT_OK
+    capsys.readouterr()
+    return tmp_path / "rand.txt", tmp_path / "b.csv"
+
+
 class TestGenFrame:
     def test_header_4_12(self, frame_file):
         assert frame_file.read_text().splitlines()[0] == "4 12"
@@ -98,6 +111,7 @@ class TestEstimate:
         assert payload["status"] == "ok"
         assert payload["config"]["M"] == 4
         assert "rng_seed" not in payload["config"]
+        assert "cap_mode" not in payload["config"]
         assert payload["results"]["min_spanning_K"] == 10
         assert payload["timings_s"]["sweep"] >= 0
         assert payload["counts"]["chunk_rows"] == 4096
@@ -334,6 +348,16 @@ class TestOracle:
         )
         assert code == EXIT_OK
         assert "sandwich verified" in capsys.readouterr().out
+
+    def test_sandwich_violation_exit_code(self, broken_pair, tmp_path, capsys):
+        rand, est = broken_pair
+        code = main(["oracle", "-f", str(rand), "--k-min", "9", "--check",
+                     str(est), "-o", str(tmp_path / "o.csv")])
+        assert code == EXIT_INVARIANT
+        out, err = capsys.readouterr()
+        assert err.startswith("error: sandwich violated at K=9:")
+        assert "Traceback" not in err
+        assert "sandwich verified" not in out
 
     @pytest.mark.parametrize("M, k", [("5", "2"), ("12", "1")])
     def test_check_from_another_frame_refused(
@@ -578,6 +602,20 @@ class TestReport:
         # Rows without oracle data carry NaN placeholders.
         assert "nan" in lines[1]
         assert "nan" not in lines[-1]
+
+    def test_sandwich_violation_refused(self, broken_pair, tmp_path, capsys):
+        rand, est = broken_pair
+        ora, merged = tmp_path / "o.csv", tmp_path / "m.csv"
+        assert main(["oracle", "-f", str(rand), "--k-min", "9",
+                     "-o", str(ora)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["report", "--estimate", str(est), "--oracle", str(ora),
+                     "-o", str(merged)])
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("error: sandwich violated at K=9:")
+        assert "Traceback" not in err
+        assert not merged.exists()
 
 
 class TestVersion:

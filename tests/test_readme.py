@@ -1,11 +1,13 @@
-"""The README's command-line examples run as written."""
+"""The README's examples and the 4x12 demo run as written."""
 
 import pathlib
+import runpy
 import shlex
 
 from nerfcert.cli import EXIT_OK, main
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_commands():
@@ -26,3 +28,18 @@ def test_readme_commands_succeed(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
+
+
+def test_readme_library_example(capsys):
+    text = README.read_text().split("## Library example", 1)[1]
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "61\n"
+
+
+def test_certify_4_12_demo(capsys):
+    runpy.run_path(str(ROOT / "demos" / "certify_4_12.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "\ncertified intervals contain the exact bounds at every K\n"
+    )
