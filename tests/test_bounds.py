@@ -557,6 +557,33 @@ class TestCsv:
             table.L, table.delta, table.net_points_used
         )
 
+    def test_bytes_are_17_digit_rows(self, tmp_path):
+        # A hand-built table, no sweep: the format alone sets the bytes.
+        cells = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e300])
+        N, M, ranks = 5, 2, np.zeros(5, int)
+        table = bounds.BoundsTable(
+            M, N, 0.25, cells, cells[::-1].copy(), ranks, ranks, 7, 3, 0.5,
+            alpha_lower=-cells, beta_upper=3 * cells,
+        )
+        path = tmp_path / "bounds.csv"
+        write_bounds_csv(table, path)
+        header = {"M": 2, "N": 5, "epsilon_sq": 0.25, "L": 3, "delta": 0.5,
+                  "net_points_used": 7}
+        nm = N / M
+        rows = zip(range(1, N + 1), table.alpha_eps, table.beta_eps,
+                   table.alpha_lower, table.beta_upper)
+        expected = (
+            "# " + json.dumps(header) + "\n"
+            "K,alpha_eps,beta_eps,alpha_lower,beta_upper,"
+            "trivial_lower,trivial_upper\n"
+            + "".join(
+                f"{k},{a:.17g},{b:.17g},{lo:.17g},{up:.17g},"
+                f"{k - (N - nm):.17g},{nm:.17g}\n"
+                for k, a, b, lo, up in rows
+            )
+        )
+        assert path.read_text() == expected
+
     def test_uncertified_table_refused(self, table_4_12, tmp_path):
         path = tmp_path / "bounds.csv"
         with pytest.raises(InvalidInputError, match="certified"):

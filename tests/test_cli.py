@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,16 @@ class TestGenFrame:
         code = main(["gen-frame", "-M", "8", "-k", "4", "-o", str(path)])
         assert code == EXIT_OK
         assert path.read_text().splitlines()[0] == "8 560"
+
+    @pytest.mark.parametrize("M, k, digest", [
+        (4, 2, "f5387066c8cf1ac482f0459e355eda5c49eba5928672d6df3182719bb172228a"),
+        (8, 4, "ac26838413ffb34bc11b221373f2fef42abcd54964439c69c40f229c6d0bc883"),
+    ])
+    def test_file_bytes_pinned(self, tmp_path, M, k, digest):
+        path = tmp_path / "frame.txt"
+        assert main(["gen-frame", "-M", str(M), "-k", str(k),
+                     "-o", str(path)]) == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_reports_size(self, frame_file, capsys):
         main(["gen-frame", "-M", "6", "-k", "3", "-o", str(frame_file)])
@@ -602,6 +613,18 @@ class TestReport:
         # Rows without oracle data carry NaN placeholders.
         assert "nan" in lines[1]
         assert "nan" not in lines[-1]
+
+    def test_stdout_is_the_output_file(self, frame_file, tmp_path, capsys):
+        est, ora, merged = (tmp_path / n for n in ("b.csv", "o.csv", "m.csv"))
+        assert main(["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                     "-o", str(est)]) == EXIT_OK
+        assert main(["oracle", "-f", str(frame_file), "--k-min", "11",
+                     "-o", str(ora)]) == EXIT_OK
+        args = ["report", "--estimate", str(est), "--oracle", str(ora)]
+        assert main(args + ["-o", str(merged)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().out.encode() == merged.read_bytes()
 
     def test_sandwich_violation_refused(self, broken_pair, tmp_path, capsys):
         rand, est = broken_pair

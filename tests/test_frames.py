@@ -171,6 +171,17 @@ class TestFrameIO:
         write_frame(frame, path)
         assert path.read_text().splitlines()[0] == "4 12"
 
+    def test_bytes_are_17_digit_columns(self, tmp_path):
+        # Signed zero, a subnormal and the smallest subnormal must print
+        # as f-string ".17g" does, one column per line.
+        matrix = np.array([[-0.0, 1e-300, 1 / 3], [5e-324, 0.1, -1e300]])
+        path = tmp_path / "frame.txt"
+        write_frame(FrameMatrix(matrix), path)
+        expected = "2 3\n" + "".join(
+            " ".join(f"{v:.17g}" for v in col) + "\n" for col in matrix.T
+        )
+        assert path.read_text() == expected
+
     def test_parse_is_bitwise_float(self, tmp_path):
         # The 10x4032 orbit relabelled: columns permuted and signed, so
         # the file holds "-0" entries as well as "0".
