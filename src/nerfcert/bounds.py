@@ -335,20 +335,16 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
         "delta": table.delta,
         "net_points_used": table.net_points_used,
     }
-    nm = table.N / table.M
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(header) + "\n")
-        fh.write(
-            "K,alpha_eps,beta_eps,alpha_lower,beta_upper,"
-            "trivial_lower,trivial_upper\n"
-        )
-        for i in range(table.N):
-            k = i + 1
-            fh.write(
-                f"{k},{table.alpha_eps[i]:.17g},{table.beta_eps[i]:.17g},"
-                f"{table.alpha_lower[i]:.17g},{table.beta_upper[i]:.17g},"
-                f"{k - (table.N - nm):.17g},{nm:.17g}\n"
-            )
+    N, nm = table.N, table.N / table.M
+    k = np.arange(1, N + 1)
+    np.savetxt(
+        path,
+        np.column_stack((k, table.alpha_eps, table.beta_eps, table.alpha_lower,
+                         table.beta_upper, k - (N - nm), np.full(N, nm))),
+        fmt="%.17g", delimiter=",", comments="",
+        header="# " + json.dumps(header) + "\nK,alpha_eps,beta_eps,"
+        "alpha_lower,beta_upper,trivial_lower,trivial_upper",
+    )
 
 
 def read_bounds_csv(path) -> BoundsTable:

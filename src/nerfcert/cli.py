@@ -137,13 +137,14 @@ def _cmd_build_net(args) -> int:
 
 def _peak_rss_mb() -> float:
     """Peak resident set size in MiB: VmHWM where /proc/self/status exists,
-    else ru_maxrss (KiB on Linux, where it starts at the launcher's size)."""
+    else ru_maxrss (bytes on macOS; KiB on Linux, from the launcher's size)."""
     try:
         with open("/proc/self/status") as fh:
             hwm = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
         return int(hwm[0]) / 1024
     except (OSError, IndexError):
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        unit = 2**20 if sys.platform == "darwin" else 2**10
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 
 def _cmd_estimate(args) -> int:
@@ -231,23 +232,14 @@ def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
     oracle_rows = read_oracle_csv(args.oracle, est.M, est.N) if args.oracle else {}
     require_sandwich(est, oracle_rows)
-    lines = [
-        "K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper"
-    ]
-    for i in range(est.N):
-        k = i + 1
-        exact = oracle_rows.get(k, (math.nan, math.nan))
-        lines.append(
-            f"{k},{est.alpha_lower[i]:.17g},{est.alpha_eps[i]:.17g},"
-            f"{exact[0]:.17g},{exact[1]:.17g},"
-            f"{est.beta_eps[i]:.17g},{est.beta_upper[i]:.17g}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    exact = [oracle_rows.get(k, (math.nan,) * 2) for k in range(1, est.N + 1)]
+    np.savetxt(
+        args.output or sys.stdout,
+        np.column_stack((np.arange(1, est.N + 1), est.alpha_lower, est.alpha_eps,
+                         exact, est.beta_eps, est.beta_upper)),
+        fmt="%.17g", delimiter=",", comments="",
+        header="K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper",
+    )
     return EXIT_OK
 
 

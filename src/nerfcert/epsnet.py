@@ -241,15 +241,9 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
             continue
         alive = top <= 1.0 / dsq + _BB_MARGIN
         prefix, lmin, s, top = (a[alive] for a in (prefix, lmin, s, top))
-        # Bisect for the first level k with s + t*sq[k] < 1 - margin;
-        # the test is monotone in the level, so children are lmin..k-1.
-        lo, hi = np.zeros_like(lmin), np.full_like(lmin, L)
-        tsq = np.append(t * sq, -np.inf)
-        for _ in range(L.bit_length()):
-            mid = (lo + hi) // 2
-            reach = s + tsq[mid] >= 1.0 - _BB_MARGIN
-            lo, hi = np.where(reach, mid + 1, lo), np.where(reach, hi, mid)
-        counts = np.maximum(lo - lmin, 0)
+        # Levels below k reach s + t*sq >= 1 - margin; -t*sq ascends as delta < 1.
+        k = np.searchsorted(-t * sq, s - (1.0 - _BB_MARGIN), side="right")
+        counts = np.maximum(k - lmin, 0)
         first = np.cumsum(counts) - counts
         cuts = np.flatnonzero(np.diff(first // _SLICE_NODES)) + 1
         if len(cuts):  # push the slices so that the first is walked first

@@ -204,10 +204,8 @@ def canonicalize(x: np.ndarray) -> np.ndarray:
 
 def write_frame(frame: FrameMatrix, path) -> None:
     """Write the plain-text frame format: 'M N' then one column per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{frame.M} {frame.N}\n")
-        for col in frame.matrix.T:
-            fh.write(" ".join(f"{v:.17g}" for v in col) + "\n")
+    np.savetxt(path, frame.matrix.T, fmt="%.17g", comments="",
+               header=f"{frame.M} {frame.N}")
 
 
 def read_frame(path) -> FrameMatrix:

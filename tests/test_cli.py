@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nerfcert import (
     verify_untf,
     write_frame,
 )
+from nerfcert import cli
 from nerfcert.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVARIANT,
@@ -151,6 +153,21 @@ class TestEstimate:
         del hold
         assert proc.returncode == EXIT_OK, proc.stderr
         assert json.loads(rep.read_text())["memory"]["peak_rss_mb"] < 150
+
+    def test_peak_rss_fallback_units(self, monkeypatch):
+        # Without /proc/self/status the peak is ru_maxrss, which macOS
+        # gives in bytes and Linux in KiB: 50 MiB must read 50 on both.
+        def no_proc(*args, **kwargs):
+            raise OSError("no /proc")
+
+        monkeypatch.setattr(cli, "open", no_proc, raising=False)
+        peaks = {}
+        for platform, maxrss in (("linux", 50 * 2**10), ("darwin", 50 * 2**20)):
+            monkeypatch.setattr(sys, "platform", platform)
+            monkeypatch.setattr(cli.resource, "getrusage",
+                                lambda who, r=maxrss: SimpleNamespace(ru_maxrss=r))
+            peaks[platform] = cli._peak_rss_mb()
+        assert peaks == {"linux": 50.0, "darwin": 50.0}
 
     def test_byte_identical_across_threads(self, frame_file, tmp_path):
         out = {}
