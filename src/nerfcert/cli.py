@@ -232,7 +232,7 @@ def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
     oracle_rows = read_oracle_csv(args.oracle, est.M, est.N) if args.oracle else {}
     require_sandwich(est, oracle_rows)
-    exact = [oracle_rows.get(k, (math.nan,) * 2) for k in range(1, est.N + 1)]
+    exact = [oracle_rows.get(k, (math.nan, math.nan)) for k in range(1, est.N + 1)]
     np.savetxt(
         args.output or sys.stdout,
         np.column_stack((np.arange(1, est.N + 1), est.alpha_lower, est.alpha_eps,

@@ -172,8 +172,8 @@ class TestFrameIO:
         assert path.read_text().splitlines()[0] == "4 12"
 
     def test_bytes_are_17_digit_columns(self, tmp_path):
-        # Signed zero, a subnormal and the smallest subnormal must print
-        # as f-string ".17g" does, one column per line.
+        # Signed zero, 1e-300 and the smallest subnormal must print as
+        # f-string ".17g" does, one column per line.
         matrix = np.array([[-0.0, 1e-300, 1 / 3], [5e-324, 0.1, -1e300]])
         path = tmp_path / "frame.txt"
         write_frame(FrameMatrix(matrix), path)
