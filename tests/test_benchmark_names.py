@@ -10,6 +10,8 @@ would instead fail every benchmark run; the last test fails first.
 
 import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -70,3 +72,13 @@ def test_benchmark_cli_contract(tmp_path, monkeypatch, capsys):
         assert list(ks) == list(range(k_min, 41))
         assert subsets == expected
         assert checks.check_sandwich(cols, ks, alpha, beta) == []
+
+
+def test_benchmark_checker_tests_pass():
+    """perfbench/test_checks.py, in a process of its own: run.py edits
+    the environment when it is imported."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "test_checks.py")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

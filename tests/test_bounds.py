@@ -233,6 +233,21 @@ class TestSweep:
                     getattr(table, name), getattr(default, name)
                 )
 
+    def test_frame_layout_does_not_change_results(
+        self, frame_4_12, monkeypatch
+    ):
+        # With 16-node slices and 7-row batches, a C- and a Fortran-ordered
+        # matmul round apart enough to move the K=1 witness (rank 1105 or
+        # 130); a frame stored in one layout gives one table.
+        monkeypatch.setattr(epsnet, "_SLICE_NODES", 16)
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        config = NetConfig.create(4, 0.25)
+        phi = frame_4_12.matrix
+        c_order = sweep_all_K(FrameMatrix(phi), config)
+        f_order = sweep_all_K(FrameMatrix(np.asfortranarray(phi)), config)
+        for name in ("alpha_eps", "beta_eps", "argmin_r", "argmax_r"):
+            assert np.array_equal(getattr(c_order, name), getattr(f_order, name))
+
     def test_out_of_order_batches_keep_first_ranks(
         self, frame_4_12, monkeypatch
     ):
@@ -541,6 +556,12 @@ class TestThreads:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             resolve_threads(-1)
+
+    def test_at_most_16_per_cpu(self, monkeypatch):
+        monkeypatch.setattr(bounds.os, "cpu_count", lambda: 2)
+        assert resolve_threads(32) == 32
+        with pytest.raises(InvalidInputError, match=r"\[0, 32\], got 33"):
+            resolve_threads(33)
 
 
 class TestCsv:

@@ -71,7 +71,10 @@ class TestGenFrame:
         assert path.read_text().splitlines()[0] == "8 560"
 
     @pytest.mark.parametrize("M, k, digest", [
+        (3, 1, "6e119be3425fd0e38152c8c6ef714a4a3033d37e32e856002e1d9f053f6ba985"),
         (4, 2, "f5387066c8cf1ac482f0459e355eda5c49eba5928672d6df3182719bb172228a"),
+        (5, 5, "799e75ac815853c20b7fba2cb8970c522a115df2ccf19d97a14467740a7a700f"),
+        (7, 7, "7025131bc8f23d97a55062a7bb88cd84c3d1b4e5f68f2865858bfad7cfaa1a40"),
         (8, 4, "ac26838413ffb34bc11b221373f2fef42abcd54964439c69c40f229c6d0bc883"),
     ])
     def test_file_bytes_pinned(self, tmp_path, M, k, digest):
@@ -182,6 +185,17 @@ class TestEstimate:
             assert code == EXIT_OK
             out[threads] = csv.read_bytes()
         assert out["1"] == out["8"]
+
+    def test_threads_above_16_per_cpu_refused(
+        self, frame_file, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(bounds.os, "cpu_count", lambda: 2)
+        csv = tmp_path / "x.csv"
+        code = main(["estimate", "-f", str(frame_file), "--eps-sq", "0.5",
+                     "--threads", "33", "-o", str(csv)])
+        assert code == EXIT_USAGE_IO
+        assert capsys.readouterr().err.startswith("error: threads must be")
+        assert not csv.exists()
 
     def test_missing_frame_args(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -120,6 +120,17 @@ class TestOrbit:
         assert not verify_group_invariance(frame)
 
 
+class TestFrameMatrix:
+    def test_stored_c_contiguous(self, tmp_path):
+        # One layout whatever the source: read_frame transposes its rows.
+        phi = orbit_signed_permutations(GeneratorSpec(4, 2)).matrix
+        frame = FrameMatrix(np.asfortranarray(phi))
+        assert frame.matrix.flags.c_contiguous
+        assert np.array_equal(frame.matrix, phi)
+        write_frame(frame, tmp_path / "frame.txt")
+        assert read_frame(tmp_path / "frame.txt").matrix.flags.c_contiguous
+
+
 class TestCanonicalize:
     def test_sorted_absolute_values(self):
         x = np.array([0.3, -0.9, 0.1, -0.2])

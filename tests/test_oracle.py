@@ -99,10 +99,18 @@ class TestExactBounds:
         assert np.all(np.diff(betas) >= -1e-12)
 
     def test_budget_enforced(self, frame_4_12):
-        with pytest.raises(OracleInfeasibleError):
-            exact_bounds(frame_4_12, 6, budget=100)
-        with pytest.raises(OracleInfeasibleError):
-            exact_bounds_all_K(frame_4_12, budget=1000)
+        cases = [
+            (lambda: exact_bounds(frame_4_12, 6, budget=100),
+             "C(12,6) = 924 subsets exceeds budget 100"),
+            (lambda: exact_bounds_all_K(frame_4_12, budget=1000),
+             "C(12,K) summed over K in [1, 12] = 4095 subsets exceeds budget 1000"),
+            (lambda: exact_bounds_all_K(frame_4_12, k_min=6, k_max=6, budget=100),
+             "C(12,6) = 924 subsets exceeds budget 100"),
+        ]
+        for call, message in cases:
+            with pytest.raises(OracleInfeasibleError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_bad_K(self, frame_4_12):
         with pytest.raises(InvalidInputError):
