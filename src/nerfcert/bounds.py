@@ -142,10 +142,11 @@ def _net_psi_chunks(config: NetConfig, rows: int):
 
 
 def resolve_threads(threads: int) -> int:
-    """0 means auto: the CPU count."""
-    if threads < 0:
-        raise InvalidInputError(f"threads must be >= 0, got {threads}")
-    return threads or os.cpu_count() or 1
+    """0 means auto: the CPU count; over 16 workers per CPU are refused."""
+    cpus = os.cpu_count() or 1
+    if not 0 <= threads <= 16 * cpus:
+        raise InvalidInputError(f"threads must be in [0, {16 * cpus}], got {threads}")
+    return threads or cpus
 
 
 def sweep_all_K(
@@ -170,9 +171,10 @@ def sweep_all_K(
     so the working set is about ``threads`` buffers plus witness gathers
     of at most _GATHER_BYTES each.  The workers' results are merged once
     at the end by elementwise min, a tie going to the smaller rank.  So
-    results are independent of chunking and thread count: per-point sums
-    are computed identically everywhere, and each witness is the first
-    attaining rank.  A worker that raises, the calling thread included
+    results are bitwise independent of the thread count, because the
+    batch cut depends on N alone, and each witness is the first attaining
+    rank; a one-row batch (a walker block's tail) may round differently
+    from a longer one.  A worker that raises, the calling thread included
     when interrupted, closes the walker, so the others stop after their
     current batch, and the first exception is re-raised.  With
     ``progress`` a line goes to stderr each time the count of swept

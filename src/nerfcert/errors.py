@@ -15,13 +15,3 @@ class InvariantViolationError(NerfCertError, RuntimeError):
 
 class OracleInfeasibleError(NerfCertError, RuntimeError):
     """The exhaustive subset count exceeds the configured budget."""
-
-    def __init__(
-        self, n: int, k_min: int, k_max: int, subsets: int, budget: int
-    ):
-        what = (
-            f"C({n},{k_min})"
-            if k_min == k_max
-            else f"C({n},K) summed over K in [{k_min}, {k_max}]"
-        )
-        super().__init__(f"{what} = {subsets} subsets exceeds budget {budget}")

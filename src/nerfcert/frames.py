@@ -74,7 +74,7 @@ class FrameMatrix:
     matrix: np.ndarray  # shape (M, N)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=float)
         if self.matrix.ndim != 2 or self.matrix.size == 0:
             raise InvalidInputError("frame must be a nonempty 2-D array")
         if not np.all(np.isfinite(self.matrix)):
@@ -107,19 +107,16 @@ def orbit_signed_permutations(spec: GeneratorSpec) -> FrameMatrix:
     Columns are emitted with support sets in lexicographic order; within a
     support, the entry at the smallest index is forced positive and the
     remaining k-1 signs run in binary order (0 bit = +).  The column count
-    is 2^(k-1) * C(M, k).
+    is spec.orbit_size = 2^(k-1) * C(M, k).
     """
-    M, k = spec.M, spec.k
-    value = 1.0 / math.sqrt(k)
-    cols = []
-    for support in combinations(range(M), k):
-        for signs in product((1.0, -1.0), repeat=k - 1):
-            col = np.zeros(M)
-            col[support[0]] = value
-            for idx, s in zip(support[1:], signs):
-                col[idx] = s * value
-            cols.append(col)
-    return FrameMatrix(np.column_stack(cols))
+    supports = np.array(list(combinations(range(spec.M), spec.k)))
+    signs = np.array([(1, *s) for s in product((1, -1), repeat=spec.k - 1)])
+    # phi[m, c, s]: entry m of the column on support c with sign row s.
+    phi = np.zeros((spec.M, len(supports), len(signs)))
+    phi[supports, np.arange(len(supports))[:, None]] = (
+        signs * spec.generator()[: spec.k]
+    ).T
+    return FrameMatrix(phi.reshape(spec.M, spec.orbit_size))
 
 
 def verify_untf(frame: FrameMatrix, tol: float = TIGHT_TOL) -> UntfReport:

@@ -67,7 +67,9 @@ def exact_bounds(
         raise InvalidInputError(f"need 1 <= K <= N, got K={K}, N={N}")
     total = math.comb(N, K)
     if total > budget:
-        raise OracleInfeasibleError(N, K, K, total, budget)
+        raise OracleInfeasibleError(
+            f"C({N},{K}) = {total} subsets exceeds budget {budget}"
+        )
     J = min(K, N - K)
     complement = J < K
     cols = frame.matrix.T
@@ -120,8 +122,11 @@ def exact_bounds_all_K(
             f"bad K range [{k_min}, {k_max}] for N={frame.N}"
         )
     total = sum(math.comb(frame.N, k) for k in range(k_min, k_max + 1))
-    if total > budget:
-        raise OracleInfeasibleError(frame.N, k_min, k_max, total, budget)
+    if total > budget and k_min < k_max:  # one K: exact_bounds refuses it
+        raise OracleInfeasibleError(
+            f"C({frame.N},K) summed over K in [{k_min}, {k_max}] = "
+            f"{total} subsets exceeds budget {budget}"
+        )
     return [exact_bounds(frame, k, budget) for k in range(k_min, k_max + 1)]
 
 
