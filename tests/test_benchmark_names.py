@@ -5,19 +5,25 @@ child.py skips a name that has gone and reports its metrics as absent,
 so a rename would silently blind the benchmark.  This list mirrors the
 names it wraps in ``nerfcert.cli`` (CLI_NAMES) and the ones its probes
 call in the layer modules.  A dropped flag or a changed file format
-would instead fail every benchmark run; the last test fails first.
+would instead fail every benchmark run; the contract test fails first.
+The traced pass, spans and probes, must write strict JSON records with
+the counts run.py checks.
 """
 
 import importlib
+import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+from nerfcert import NetConfig, pruned_cardinality
 from nerfcert.cli import EXIT_OK, main
 
-PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 NAMES = [
     ("nerfcert.cli", "read_frame"),
@@ -72,6 +78,42 @@ def test_benchmark_cli_contract(tmp_path, monkeypatch, capsys):
         assert list(ks) == list(range(k_min, 41))
         assert subsets == expected
         assert checks.check_sandwich(cols, ks, alpha, beta) == []
+
+
+def child_record(tmp_path, *args):
+    """Run perfbench/child.py as run.py does and return its record, which
+    must be strict JSON."""
+    record = tmp_path / f"{args[0]}.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), str(record), *args],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(record.read_text())
+    json.dumps(data, allow_nan=False)
+    return data
+
+
+def test_benchmark_traced_path(tmp_path):
+    """The traced pass: a CLI estimate with spans, and the probes, which
+    also sweep a one-column frame to time the net."""
+    frame = str(tmp_path / "frame.txt")
+    assert main(["gen-frame", "-M", "5", "-k", "3", "-o", frame]) == EXIT_OK
+    points = pruned_cardinality(NetConfig.create(5, 0.25))
+
+    probes = child_record(tmp_path, "probes", frame, repr(0.25), "2")
+    assert probes["enumerated"] == probes["pruned_cardinality"] == points
+    peak = probes["sweep_peak_bytes"]
+    assert type(peak) is int and peak > 0
+
+    cli = child_record(
+        tmp_path, "cli", "1", "estimate", "-f", frame, "--eps-sq", repr(0.25),
+        "--threads", "2", "-o", str(tmp_path / "bounds.csv"),
+    )
+    assert cli["rc"] == EXIT_OK
+    [sweep] = [s for s in cli["spans"] if s["name"] == "sweep_all_K"]
+    assert sweep["counts"]["points"] == points
 
 
 def test_benchmark_checker_tests_pass():

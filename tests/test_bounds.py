@@ -161,8 +161,9 @@ class TestSweep:
         sweep_all_K(frame_4_12, NetConfig.create(4, 0.25), progress=True)
         assert swept_counts(capsys.readouterr().err) == [553, 1106]
 
-    def test_many_chunks_match_one_pass(self, frame_4_12, monkeypatch):
-        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+    @pytest.mark.parametrize("batch", [2, 3, 7])
+    def test_many_chunks_match_one_pass(self, frame_4_12, monkeypatch, batch):
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: batch)
         config = NetConfig.create(4, 0.25)
         one = sweep_all_K(frame_4_12, config, threads=1)
         many = sweep_all_K(frame_4_12, config, threads=3)
@@ -195,6 +196,41 @@ class TestSweep:
         argmin, argmax = first_ranks(all_prefix_sums(frame_4_12, config))
         assert np.array_equal(table.argmin_r, argmin)
         assert np.array_equal(table.argmax_r, argmax)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_two_row_sort_blocks_match_direct_sums(self, monkeypatch, threads):
+        # 5-row batches sorted in 2-row blocks end each batch on a one-row
+        # block, which must still be a row of a many-row product: the
+        # direct sums never multiply a lone row where a batch has more.
+        frame = orbit_signed_permutations(GeneratorSpec(6, 3))
+        config = NetConfig.create(6, 0.25)
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 5)
+        monkeypatch.setattr(bounds, "_SORT_BYTES", 2 * 8 * frame.N, raising=False)
+        table = sweep_all_K(frame, config, threads=threads)
+        prefix = all_prefix_sums(frame, config)
+        nm = frame.N / frame.M
+        largest = np.hstack([nm - prefix[:, -2::-1], np.full((len(prefix), 1), nm)])
+        argmin, argmax = first_ranks(prefix)
+        assert np.array_equal(table.alpha_eps, prefix.min(axis=0))
+        assert np.array_equal(table.beta_eps, largest.max(axis=0))
+        assert np.array_equal(table.argmin_r, argmin)
+        assert np.array_equal(table.argmax_r, argmax)
+
+    def test_lane_scan_is_each_rows_scan(self):
+        # Two sorted rows share one complex128 per column, lane 1 of the
+        # last pair padded with +inf for an odd count.  A complex addition
+        # is two independent float additions, so each lane's scan is
+        # bitwise its own row's.
+        rng = np.random.default_rng(5)
+        rows = np.sort(rng.random((7, 560)) * 10.0 ** rng.integers(-8, 3, (7, 560)))
+        lanes = np.full((4, 560, 2), np.inf)
+        lanes[:, :, 0] = rows[0::2]
+        lanes[:3, :, 1] = rows[1::2]
+        scan = lanes.view(np.complex128)[..., 0]
+        np.cumsum(scan, axis=1, out=scan)
+        ranked = lanes.transpose(0, 2, 1).reshape(8, 560)
+        assert np.array_equal(ranked[:7], np.cumsum(rows, axis=1))
+        assert np.all(ranked[7] == np.inf)
 
     def test_two_workers_hold_one_buffer_each(self):
         # Above the walker's share, measured as a one-thread sweep of a
