@@ -29,7 +29,8 @@ from .epsnet import NetConfig, _level_arrays, _psi_from_levels
 from .errors import InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
-_CHUNK_BYTES = 4 * 2**20  # per worker's rows x N float64 buffer; chunk_rows
+_CHUNK_BYTES = 4 * 2**20  # per worker's rows x N float64 lanes; chunk_rows
+_SORT_BYTES = 256 * 2**10  # per worker's scratch, where rows are sorted in L2
 _GATHER_BYTES = 256 * 2**10  # per block of columns gathered for witness ranks
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column no batch has set
 _PROGRESS_EVERY = 100_000  # net points between progress lines
@@ -85,18 +86,26 @@ def sorted_squared_correlations(
 
 
 def chunk_rows(N: int) -> int:
-    """Net points per batch: each worker's one rows x N float64 buffer
-    takes about _CHUNK_BYTES, rows clamped to [64, 4096].  A function of N
-    alone, so results never depend on the thread count.
+    """Net points per batch: each worker's lane buffer, two rows per
+    complex128, takes about _CHUNK_BYTES, rows clamped to [64, 4096].  A
+    function of N alone, so results never depend on the thread count.
 
     Threads overlap a batch's prefix scan only if it keeps more than 500
-    rows: numpy's accumulate, behind np.cumsum(axis=1), holds the GIL
-    when its outer loop has 500 rows or fewer.  With numpy 2.4 on a
-    2-vCPU VM, two threads ran np.cumsum(axis=1) 2.0x as fast as one on
-    936 x 560 batches (N=560) but 1.0x on 130 x 4032 batches (N=4032),
-    which is why the 10x4032 sweep gains only about 1.4x from a second
-    thread."""
-    return max(64, min(4096, _CHUNK_BYTES // (8 * N)))
+    pairs of rows: numpy's accumulate, behind np.cumsum(axis=1), holds the
+    GIL when its outer loop has 500 rows or fewer, and the scan's rows are
+    pairs.  So a budget of 501-1001 rows is raised to 1002 (501 pairs):
+    N=560 gets 1002 rows (4.28 MiB) instead of 936, and the worst case,
+    N=1046, 8.0 MiB.  With 936 rows (468 pairs) the 8x560 two-thread sweep
+    lost 13 % on a 2-vCPU VM.  N=4032 keeps 130 rows; its scan still holds
+    the GIL, but for half as long as a one-lane scan."""
+    rows = max(64, min(4096, _CHUNK_BYTES // (8 * N)))
+    return 1002 if 500 < rows < 1002 else rows
+
+
+def _sort_rows(N: int, rows: int) -> int:
+    """Rows per sort block: an even count, at least 2, whose N float64
+    values fit in _SORT_BYTES, and no more than a batch holds."""
+    return max(2, min(rows + 1, _SORT_BYTES // (8 * N)) // 2 * 2)
 
 
 def _chunk_accumulate(
@@ -105,29 +114,53 @@ def _chunk_accumulate(
     offset: int,
     alpha: np.ndarray,
     argmin: np.ndarray,
-    buf: np.ndarray,
+    buf: tuple,
 ) -> None:
     """Fold one batch of unit-norm net points, of first rank ``offset``,
     into a worker's prefix-sum minima ``alpha`` and first attaining ranks
     ``argmin``, in place: a column takes the batch's value only where it
     is strictly smaller, and a worker takes its batches in rank order.
 
-    The batch's rows x N correlations are computed, sorted and scanned in
-    the first len(psi_rows) rows of ``buf``, the worker's buffer.  Columns
-    are gathered for witness ranks in blocks of at most _GATHER_BYTES, so
-    a witness search never copies the whole batch.
+    ``buf`` is the worker's (lanes, scratch) pair.  The batch is cut into
+    blocks of len(scratch) rows, each multiplied, squared and sorted in
+    the scratch while it sits in L2, then copied into the (pairs, N, 2)
+    lanes: row 2p to lane 0 and row 2p+1 to lane 1 of pair p.  An odd
+    batch fills lane 1 of its last pair with +inf, which is never a
+    minimum.  One np.cumsum(axis=1) on the lanes' complex128 view then
+    scans both lanes at once: a complex addition is two independent IEEE
+    additions, so each lane is bitwise the float scan of its own row, and
+    the two dependency chains overlap (1.83 instead of 3.55 ns per value).
+    A one-row block of a longer batch is multiplied with the row before
+    it, and only its own row is kept: numpy multiplies a lone row by
+    another routine, which may round differently.  Columns are gathered
+    for witness ranks (row 2p + lane) in blocks of at most _GATHER_BYTES,
+    so a witness search never copies the whole batch.
     """
-    prefix = np.matmul(psi_rows, phi, out=buf[: len(psi_rows)])
-    np.square(prefix, out=prefix)
-    prefix.sort(axis=1)
-    np.cumsum(prefix, axis=1, out=prefix)
-    part = prefix.min(axis=0)
+    lanes, scratch = buf
+    n, N = len(psi_rows), phi.shape[1]
+    pairs = (n + 1) // 2
+    step = len(scratch)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        lo = start - 1 if stop - start == 1 and start else start
+        block = np.matmul(psi_rows[lo:stop], phi, out=scratch[: stop - lo])
+        np.square(block, out=block)
+        block.sort(axis=1)
+        block, p = block[start - lo :], start // 2
+        lanes[p : p + (len(block) + 1) // 2, :, 0] = block[0::2]
+        lanes[p : p + len(block) // 2, :, 1] = block[1::2]
+    if n % 2:
+        lanes[pairs - 1, :, 1] = np.inf
+    scan = lanes[:pairs].view(np.complex128)[..., 0]
+    np.cumsum(scan, axis=1, out=scan)
+    part = lanes[:pairs].reshape(pairs, 2 * N).min(axis=0).reshape(N, 2).min(axis=1)
     idx = np.flatnonzero(part < alpha)
     alpha[idx] = part[idx]
-    width = max(1, _GATHER_BYTES // (8 * len(prefix)))
+    width = max(1, _GATHER_BYTES // (16 * pairs))
     for start in range(0, len(idx), width):
-        block = idx[start : start + width]
-        argmin[block] = prefix[:, block].argmin(axis=0) + offset
+        cols = idx[start : start + width]
+        ranked = lanes[:pairs, cols, :].transpose(0, 2, 1).reshape(2 * pairs, len(cols))
+        argmin[cols] = ranked.argmin(axis=0) + offset
 
 
 def _net_psi_chunks(config: NetConfig, rows: int):
@@ -167,9 +200,10 @@ def sweep_all_K(
     One loop at every thread count: ``threads`` workers (the calling
     thread and threads - 1 pool threads) each take the walker's next batch
     of chunk_rows(N) points under one lock and fold it into minima and
-    witnesses of their own, in one chunk_rows(N) x N buffer of their own;
-    so the working set is about ``threads`` buffers plus witness gathers
-    of at most _GATHER_BYTES each.  The workers' results are merged once
+    witnesses of their own, in a lane buffer of chunk_rows(N) x N values
+    and a sort scratch of at most _SORT_BYTES of their own; so the working
+    set is about ``threads`` such pairs plus witness gathers of at most
+    _GATHER_BYTES each.  The workers' results are merged once
     at the end by elementwise min, a tie going to the smaller rank.  So
     results are bitwise independent of the thread count, because the
     batch cut depends on N alone, and each witness is the first attaining
@@ -192,7 +226,10 @@ def sweep_all_K(
         nonlocal done, shown
         alpha = np.full(frame.N, np.inf)
         argmin = np.full(frame.N, _NO_RANK, dtype=np.int64)
-        buf = np.empty((rows, frame.N))
+        buf = (
+            np.empty(((rows + 1) // 2, frame.N, 2)),
+            np.empty((_sort_rows(frame.N, rows), frame.N)),
+        )
         points = 0
         try:
             while True:

@@ -205,7 +205,7 @@ class TestSweep:
         frame = orbit_signed_permutations(GeneratorSpec(6, 3))
         config = NetConfig.create(6, 0.25)
         monkeypatch.setattr(bounds, "chunk_rows", lambda n: 5)
-        monkeypatch.setattr(bounds, "_SORT_BYTES", 2 * 8 * frame.N, raising=False)
+        monkeypatch.setattr(bounds, "_SORT_BYTES", 2 * 8 * frame.N)
         table = sweep_all_K(frame, config, threads=threads)
         prefix = all_prefix_sums(frame, config)
         nm = frame.N / frame.M
@@ -234,8 +234,9 @@ class TestSweep:
 
     def test_two_workers_hold_one_buffer_each(self):
         # Above the walker's share, measured as a one-thread sweep of a
-        # one-column frame, two workers may add their two chunk buffers
-        # (4096 x 80 at N=80) and 2 MiB for witness gathers, batches in
+        # one-column frame, two workers may add their two lane buffers
+        # (2048 pairs x 80 at N=80), their two sort scratches (at most
+        # _SORT_BYTES each) and 2 MiB for witness gathers, batches in
         # flight and merges.  Batch-sized copies per batch exceed this.
         frame = orbit_signed_permutations(GeneratorSpec(6, 3))
         config = NetConfig.create(6, 0.25)
@@ -243,7 +244,9 @@ class TestSweep:
         walker = traced_peak(lambda: sweep_all_K(unit, config))
         swept = traced_peak(lambda: sweep_all_K(frame, config, threads=2))
         assert frame.N == 80
-        assert swept - walker <= 2 * chunk_rows(80) * 80 * 8 + 2 * 2**20
+        lanes = chunk_rows(80) * 80 * 8
+        scratches = 2 * bounds._SORT_BYTES
+        assert swept - walker <= 2 * lanes + scratches + 2 * 2**20
 
     def test_rank_offsets_across_walker_blocks(self, frame_4_12, monkeypatch):
         # Every other net here fits in one walker block; with 16-node slices
@@ -570,12 +573,22 @@ class TestChunkRows:
         rows = chunk_rows(n)
         assert isinstance(rows, int)
         assert 64 <= rows <= 4096
-        if rows > 64:
+        if rows == 1002:  # raised so the scan's 501 pairs release the GIL
+            assert rows * n * 8 <= 2 * bounds._CHUNK_BYTES
+        elif rows > 64:
             assert rows * n * 8 <= bounds._CHUNK_BYTES
         assert chunk_rows(n) == rows
 
+    def test_no_batch_scans_under_the_gil_by_choice(self):
+        # Every N from 1 to 10^6: 501-1001 rows would make 251-501 pairs,
+        # a scan that holds the GIL, so no N gets them.
+        rows = np.array([chunk_rows(n) for n in range(1, 10**6 + 1)])
+        assert not np.any((rows > 500) & (rows < 1002))
+        n = np.flatnonzero(rows == 1002) + 1
+        assert 1002 * n.max() * 8 <= 2 * bounds._CHUNK_BYTES
+
     def test_reference_sizes(self):
-        assert chunk_rows(560) == 936
+        assert chunk_rows(560) == 1002
         assert chunk_rows(4032) == 130
 
 
