@@ -47,10 +47,9 @@ def net_points(config):
 
 def all_prefix_sums(frame, config):
     """Every net point's sorted prefix sums, one row per rank, computed
-    directly in 7-point batches."""
-    c2 = np.vstack([
-        rows @ frame.matrix for rows, _ in bounds._net_psi_chunks(config, 7)
-    ]) ** 2
+    directly in one product over all rows, so no row is multiplied alone."""
+    rows = np.vstack([rows for rows, _ in bounds._net_psi_chunks(config, 7)])
+    c2 = (rows @ frame.matrix) ** 2
     return np.cumsum(np.sort(c2, axis=1), axis=1)
 
 
@@ -215,6 +214,57 @@ class TestSweep:
         assert np.array_equal(table.beta_eps, largest.max(axis=0))
         assert np.array_equal(table.argmin_r, argmin)
         assert np.array_equal(table.argmax_r, argmax)
+
+    @pytest.mark.parametrize(
+        "M, k, batches, sort_rows, slices, threads",
+        [
+            (4, 2, (1, 2, 3, 7), (2, None), (16, 2**13), (1, 3)),
+            (5, 3, (1, 3), (None,), (2**13,), (1, 3)),
+        ],
+        ids=["4x12", "5x40"],
+    )
+    def test_batching_does_not_change_bits(
+        self, monkeypatch, M, k, batches, sort_rows, slices, threads
+    ):
+        # Batch size, sort-block size (2 rows or the default), walker
+        # slices and thread count cut the net differently; every cut must
+        # give the default sweep's four arrays bit for bit.  One-row
+        # batches and one-row tails of longer batches are in every run.
+        frame = orbit_signed_permutations(GeneratorSpec(M, k))
+        config = NetConfig.create(M, 0.25)
+        default = sweep_all_K(frame, config)
+        missed = []
+        for combo in itertools.product(batches, sort_rows, slices, threads):
+            rows, block, nodes, workers = combo
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "chunk_rows", lambda n: rows)
+                if block:
+                    patch.setattr(bounds, "_SORT_BYTES", block * 8 * frame.N)
+                patch.setattr(epsnet, "_SLICE_NODES", nodes)
+                table = sweep_all_K(frame, config, threads=workers)
+            if not all(
+                np.array_equal(getattr(table, name), getattr(default, name))
+                for name in ("alpha_eps", "beta_eps", "argmin_r", "argmax_r")
+            ):
+                missed.append(combo)
+        assert missed == []
+
+    @pytest.mark.parametrize("M, k", [(4, 2), (5, 3), (6, 3)],
+                             ids=["4x12", "5x40", "6x80"])
+    def test_witness_alone_reproduces_alpha_bitwise(self, M, k):
+        # Each K's witness, rebuilt from its level tuple and scored on its
+        # own in walker order, has alpha_eps[K] as its K-th prefix sum.
+        frame = orbit_signed_permutations(GeneratorSpec(M, k))
+        config = NetConfig.create(M, 0.25)
+        table = sweep_all_K(frame, config)
+        levels = np.concatenate(list(epsnet._level_arrays(config)))
+        missed = []
+        for K, r in enumerate(table.argmin_r, start=1):
+            point = StepPoint.from_ascending_levels(levels[r].tolist(), config)
+            prefix = np.cumsum(sorted_squared_correlations(frame, point.psi[::-1]))
+            if prefix[K - 1] != table.alpha_eps[K - 1]:
+                missed.append(K)
+        assert missed == []
 
     def test_lane_scan_is_each_rows_scan(self):
         # Two sorted rows share one complex128 per column, lane 1 of the
