@@ -7,7 +7,6 @@ from .bounds import (
     min_spanning_K,
     sorted_squared_correlations,
     sweep_all_K,
-    trivial_untf_bounds,
 )
 from .epsnet import (
     NetConfig,

@@ -30,8 +30,7 @@ from .errors import InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
 _CHUNK_BYTES = 4 * 2**20  # per worker's rows x N float64 lanes; chunk_rows
-_SORT_BYTES = 256 * 2**10  # per worker's scratch, where rows are sorted in L2
-_GATHER_BYTES = 256 * 2**10  # per block of columns gathered for witness ranks
+_SORT_BYTES = 256 * 2**10  # per worker's sort scratch and per witness gather
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column no batch has set
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
@@ -40,7 +39,6 @@ __all__ = [
     "sorted_squared_correlations",
     "sweep_all_K",
     "certify",
-    "trivial_untf_bounds",
     "min_spanning_K",
     "condition_number_bound",
     "require_sandwich",
@@ -74,13 +72,15 @@ class BoundsTable:
 def sorted_squared_correlations(
     frame: FrameMatrix, psi: np.ndarray
 ) -> np.ndarray:
-    """|<psi, phi_n>|^2 for all n, sorted nondecreasingly."""
+    """|<psi, phi_n>|^2 for all n, sorted nondecreasingly: the sweep's
+    values for psi, as its product of a two-row block computes them, so a
+    witness row given in walker order reproduces its bound bitwise."""
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (frame.M,):
         raise InvalidInputError(
             f"psi has shape {psi.shape}, expected ({frame.M},)"
         )
-    vals = (psi @ frame.matrix) ** 2
+    vals = (np.stack((psi, psi)) @ frame.matrix)[0] ** 2
     vals.sort()
     return vals
 
@@ -102,11 +102,10 @@ def chunk_rows(N: int) -> int:
     return 1002 if 500 < rows < 1002 else rows
 
 
-def _sort_rows(N: int, rows: int) -> int:
+def _sort_rows(N: int) -> int:
     """Rows per sort block: the most whose N float64 values fit in
-    _SORT_BYTES, made even and at least 2, and no more than a batch of
-    ``rows`` holds."""
-    return max(2, min(rows + 1, _SORT_BYTES // (8 * N)) // 2 * 2)
+    _SORT_BYTES, made even and at least 2."""
+    return max(2, _SORT_BYTES // (8 * N) // 2 * 2)
 
 
 def _chunk_accumulate(
@@ -122,34 +121,34 @@ def _chunk_accumulate(
     ``argmin``, in place: a column takes the batch's value only where it
     is strictly smaller, and a worker takes its batches in rank order.
 
-    ``buf`` is the worker's (lanes, scratch) pair.  The batch is cut into
-    blocks of len(scratch) rows, each multiplied, squared and sorted in
+    ``buf`` is the worker's (lanes, scratch) pair.  An odd batch gets a
+    copy of its last row, so it and its blocks of len(scratch) rows (even)
+    are even: numpy multiplies a lone row by another routine, which may
+    round differently.  Each block is multiplied, squared and sorted in
     the scratch while it sits in L2, then copied into the (pairs, N, 2)
-    lanes: row 2p to lane 0 and row 2p+1 to lane 1 of pair p.  An odd
-    batch fills lane 1 of its last pair with +inf, which is never a
-    minimum.  One np.cumsum(axis=1) on the lanes' complex128 view then
-    scans both lanes at once: a complex addition is two independent IEEE
+    lanes: row 2p to lane 0 and row 2p+1 to lane 1 of pair p.  The copy's
+    lane is then filled with +inf, never a minimum, so it is never a
+    witness.  One np.cumsum(axis=1) on the lanes' complex128 view scans
+    both lanes at once: a complex addition is two independent IEEE
     additions, so each lane is bitwise the float scan of its own row, and
     the two dependency chains overlap (1.83 instead of 3.55 ns per value
-    with numpy 2.4 on a 2-vCPU VM).
-    A one-row block of a longer batch is multiplied with the row before
-    it, and only its own row is kept: numpy multiplies a lone row by
-    another routine, which may round differently.  Columns are gathered
-    for witness ranks (row 2p + lane) in blocks of at most _GATHER_BYTES,
-    so a witness search never copies the whole batch.
+    with numpy 2.4 on a 2-vCPU VM).  Columns are gathered for witness
+    ranks (row 2p + lane) in blocks of at most _SORT_BYTES, so a witness
+    search never copies the whole batch.
     """
     lanes, scratch = buf
     n, N = len(psi_rows), phi.shape[1]
-    pairs = (n + 1) // 2
+    if n % 2:
+        psi_rows = psi_rows[np.r_[:n, n - 1]]
+    pairs = len(psi_rows) // 2
     step = len(scratch)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        lo = start - 1 if stop - start == 1 and start else start
-        block = np.matmul(psi_rows[lo:stop], phi, out=scratch[: stop - lo])
+    for start in range(0, len(psi_rows), step):
+        rows = psi_rows[start : start + step]
+        block = np.matmul(rows, phi, out=scratch[: len(rows)])
         np.square(block, out=block)
         block.sort(axis=1)
-        block, p = block[start - lo :], start // 2
-        lanes[p : p + (len(block) + 1) // 2, :, 0] = block[0::2]
+        p = start // 2
+        lanes[p : p + len(block) // 2, :, 0] = block[0::2]
         lanes[p : p + len(block) // 2, :, 1] = block[1::2]
     if n % 2:
         lanes[pairs - 1, :, 1] = np.inf
@@ -158,7 +157,7 @@ def _chunk_accumulate(
     part = lanes[:pairs].reshape(pairs, 2 * N).min(axis=0).reshape(N, 2).min(axis=1)
     idx = np.flatnonzero(part < alpha)
     alpha[idx] = part[idx]
-    width = max(1, _GATHER_BYTES // (16 * pairs))
+    width = max(1, _SORT_BYTES // (16 * pairs))
     for start in range(0, len(idx), width):
         cols = idx[start : start + width]
         ranked = lanes[:pairs, cols, :].transpose(0, 2, 1).reshape(2 * pairs, len(cols))
@@ -205,12 +204,12 @@ def sweep_all_K(
     witnesses of their own, in a lane buffer of chunk_rows(N) x N values
     and a sort scratch of about _SORT_BYTES of their own; so the working
     set is about ``threads`` such pairs plus witness gathers of at most
-    _GATHER_BYTES each.  The workers' results are merged once
-    at the end by elementwise min, a tie going to the smaller rank.  So
-    results are bitwise independent of the thread count, because the
-    batch cut depends on N alone, and each witness is the first attaining
-    rank; a one-row batch (a walker block's tail) may round differently
-    from a longer one.  A worker that raises, the calling thread included
+    _SORT_BYTES each.  The workers' results are merged once at the end by
+    elementwise min, a tie going to the smaller rank.  Every row is
+    multiplied in a block of at least two and each witness is the first
+    attaining rank, so the four arrays depend only on the frame and the
+    net: not on the thread count, the batch size, the sort-block size or
+    the walker's slicing.  A worker that raises, the calling thread included
     when interrupted, closes the walker, so the others stop after their
     current batch, and the first exception is re-raised.  With
     ``progress`` a line goes to stderr each time the count of swept
@@ -230,7 +229,7 @@ def sweep_all_K(
         argmin = np.full(frame.N, _NO_RANK, dtype=np.int64)
         buf = (
             np.empty(((rows + 1) // 2, frame.N, 2)),
-            np.empty((_sort_rows(frame.N, rows), frame.N)),
+            np.empty((_sort_rows(frame.N), frame.N)),
         )
         points = 0
         try:
@@ -313,13 +312,6 @@ def certify(table: BoundsTable) -> BoundsTable:
     return table
 
 
-def trivial_untf_bounds(N: int, M: int, K: int) -> tuple:
-    """Bounds K - (N - N/M) <= alpha_K <= beta_K <= N/M for any UNTF."""
-    if not M <= K <= N:
-        raise InvalidInputError(f"need M <= K <= N, got K={K}, M={M}, N={N}")
-    return (K - (N - N / M), N / M)
-
-
 def min_spanning_K(table: BoundsTable) -> Optional[int]:
     """Smallest K with a positive certified lower bound, if any.
 
@@ -390,10 +382,10 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
 
 def read_bounds_csv(path) -> BoundsTable:
     """Read a CSV written by :func:`write_bounds_csv` into a certified
-    table.  The header must give M and N, positive integers, and
-    epsilon_sq, L, delta and net_points_used; other keys are ignored.  The
-    K column must read 1..N in order, and every cell must be finite.
-    Witness ranks are not in the CSV and read as 0."""
+    table.  The header must give the integers M, N, net_points_used >= 1
+    and L >= 2 and the floats epsilon_sq and delta in (0, 1); other keys
+    are ignored.  The K column must read 1..N in order, and every cell
+    must be finite.  Witness ranks are not in the CSV and read as 0."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first = fh.readline()
@@ -402,10 +394,14 @@ def read_bounds_csv(path) -> BoundsTable:
         if not first.startswith("# "):
             raise ValueError("missing JSON header line")
         meta = json.loads(first[2:])
+        for key, lo in (("M", 1), ("N", 1), ("L", 2), ("net_points_used", 1)):
+            if type(meta[key]) is not int or meta[key] < lo:
+                raise ValueError(f"{key} must be an integer >= {lo}, got {meta[key]!r}")
+        for key in ("epsilon_sq", "delta"):
+            if type(meta[key]) is not float or not 0 < meta[key] < 1:
+                raise ValueError(f"{key} must be a float in (0, 1), got {meta[key]!r}")
         m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
         L, delta, points = meta["L"], meta["delta"], meta["net_points_used"]
-        if not all(type(v) is int and v > 0 for v in (m, n)):
-            raise ValueError(f"M and N must be positive integers, got {m}, {n}")
         cols = (
             np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
             if rows

@@ -268,7 +268,9 @@ def volumetric_bound_log(M: int, epsilon: float) -> float:
     (1/M!)(M + sqrt(M)/eps)^M; diagnostic only, in logs to dodge overflow.
     """
     if M < 1 or epsilon <= 0:
-        raise InvalidInputError(f"need M >= 1 and epsilon > 0")
+        raise InvalidInputError(
+            f"need M >= 1 and epsilon > 0, got M={M}, epsilon={epsilon}"
+        )
     return M * math.log(M + math.sqrt(M) / epsilon) - math.lgamma(M + 1)
 
 

@@ -119,10 +119,10 @@ def orbit_signed_permutations(spec: GeneratorSpec) -> FrameMatrix:
     return FrameMatrix(phi.reshape(spec.M, spec.orbit_size))
 
 
-def verify_untf(frame: FrameMatrix, tol: float = TIGHT_TOL) -> UntfReport:
+def verify_untf(frame: FrameMatrix) -> UntfReport:
     """Check unit norms and tightness of the frame operator.
 
-    Tight means ||Phi Phi* - (N/M) I||_F <= tol.
+    Tight means ||Phi Phi* - (N/M) I||_F <= TIGHT_TOL.
     """
     phi = frame.matrix
     norms = np.linalg.norm(phi, axis=0)
@@ -133,7 +133,7 @@ def verify_untf(frame: FrameMatrix, tol: float = TIGHT_TOL) -> UntfReport:
     )
     return UntfReport(
         is_unit_norm=max_norm_defect <= UNIT_NORM_TOL,
-        is_tight=defect <= tol,
+        is_tight=defect <= TIGHT_TOL,
         frobenius_defect=defect,
         max_norm_defect=max_norm_defect,
     )

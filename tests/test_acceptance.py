@@ -291,7 +291,7 @@ def test_criterion_7d_determinism(tmp_path):
 def test_criterion_7e_untf_identities():
     for M, k in ((4, 2), (6, 3), (8, 4)):
         frame = orbit_signed_permutations(GeneratorSpec(M, k))
-        report = verify_untf(frame, tol=1e-9)
+        report = verify_untf(frame)
         assert report.is_unit_norm and report.is_tight
         assert verify_group_invariance(frame)
     print("ACCEPTANCE CRITERION 7e (UNTF identities): PASS")

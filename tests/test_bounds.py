@@ -27,7 +27,6 @@ from nerfcert import (
     pruned_cardinality,
     sorted_squared_correlations,
     sweep_all_K,
-    trivial_untf_bounds,
 )
 from nerfcert.bounds import (
     chunk_rows,
@@ -187,9 +186,10 @@ class TestSweep:
         self, frame_4_12, monkeypatch, threads
     ):
         # A one-byte budget still gathers one column per block, so each
-        # witness search walks the improved columns one at a time.
+        # witness search walks the improved columns one at a time; it also
+        # sorts in 2-row blocks.
         monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
-        monkeypatch.setattr(bounds, "_GATHER_BYTES", 1)
+        monkeypatch.setattr(bounds, "_SORT_BYTES", 1)
         config = NetConfig.create(4, 0.25)
         table = sweep_all_K(frame_4_12, config, threads=threads)
         argmin, argmax = first_ranks(all_prefix_sums(frame_4_12, config))
@@ -198,9 +198,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_two_row_sort_blocks_match_direct_sums(self, monkeypatch, threads):
-        # 5-row batches sorted in 2-row blocks end each batch on a one-row
-        # block, which must still be a row of a many-row product: the
-        # direct sums never multiply a lone row where a batch has more.
+        # 5-row batches, padded to 6, sorted in 2-row blocks: the last
+        # block is a row and its copy, and the copy's lane never wins.
         frame = orbit_signed_permutations(GeneratorSpec(6, 3))
         config = NetConfig.create(6, 0.25)
         monkeypatch.setattr(bounds, "chunk_rows", lambda n: 5)
@@ -589,17 +588,6 @@ class TestRequireSandwich:
 
 
 class TestDerivedQuantities:
-    def test_trivial_bounds(self):
-        lower, upper = trivial_untf_bounds(12, 4, 12)
-        assert lower == 3.0 and upper == 3.0
-        lower, upper = trivial_untf_bounds(12, 4, 10)
-        assert lower == 1.0
-        assert trivial_untf_bounds(560, 8, 490)[0] == 0.0
-
-    def test_trivial_bounds_range(self):
-        with pytest.raises(InvalidInputError):
-            trivial_untf_bounds(12, 4, 3)
-
     def test_min_spanning_and_condition(self, frame_4_12):
         table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
         k = min_spanning_K(table)

@@ -487,12 +487,19 @@ class TestMalformedInput:
             (0, _header(L=None)),
             (0, _header(delta=None)),
             (0, _header(net_points_used=None)),
+            (0, _header(epsilon_sq="abc")),
+            (0, _header(L=7.0)),
+            (0, _header(delta="x")),
+            (0, _header(net_points_used=None)[:-1] + ', "net_points_used": null}'),
+            (0, _header(net_points_used=-3)),
         ],
         ids=[
             "truncated_header", "header_without_N", "non_numeric_cell",
             "short_row", "float_N", "bool_M", "nan_alpha_eps",
             "inf_alpha_eps", "nan_alpha_lower_cell", "header_without_L",
             "header_without_delta", "header_without_net_points_used",
+            "text_epsilon_sq", "float_L", "text_delta",
+            "null_net_points_used", "negative_net_points_used",
         ],
     )
     def test_malformed_bounds_csv(

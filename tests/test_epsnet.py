@@ -253,6 +253,14 @@ class TestVolumetricBound:
             M, math.sqrt(eps_sq)
         )
 
+    @pytest.mark.parametrize("M, epsilon", [(0, 0.5), (3, 0.0)])
+    def test_bad_arguments_named(self, M, epsilon):
+        with pytest.raises(
+            InvalidInputError,
+            match=rf"^need M >= 1 and epsilon > 0, got M={M}, epsilon={epsilon}$",
+        ):
+            volumetric_bound_log(M, epsilon)
+
 
 class TestAgainstBruteForce:
     def test_pruned_count_small_cases(self):
