@@ -122,19 +122,19 @@ def _chunk_accumulate(
     is strictly smaller, and a worker takes its batches in rank order.
 
     ``buf`` is the worker's (lanes, scratch) pair.  An odd batch gets a
-    copy of its last row, so it and its blocks of len(scratch) rows (even)
-    are even: numpy multiplies a lone row by another routine, which may
-    round differently.  Each block is multiplied, squared and sorted in
-    the scratch while it sits in L2, then copied into the (pairs, N, 2)
-    lanes: row 2p to lane 0 and row 2p+1 to lane 1 of pair p.  The copy's
-    lane is then filled with +inf, never a minimum, so it is never a
-    witness.  One np.cumsum(axis=1) on the lanes' complex128 view scans
-    both lanes at once: a complex addition is two independent IEEE
-    additions, so each lane is bitwise the float scan of its own row, and
-    the two dependency chains overlap (1.83 instead of 3.55 ns per value
-    with numpy 2.4 on a 2-vCPU VM).  Columns are gathered for witness
-    ranks (row 2p + lane) in blocks of at most _SORT_BYTES, so a witness
-    search never copies the whole batch.
+    copy of its last row, so the batch and its blocks of len(scratch) rows
+    all have even counts and no row is multiplied alone: numpy multiplies
+    a lone row by another routine, which may round differently.  Each
+    block is multiplied, squared and sorted in the scratch while it sits
+    in L2, then copied into the (pairs, N, 2) lanes: row 2p to lane 0 and
+    row 2p+1 to lane 1 of pair p.  The copy's lane is then filled with
+    +inf, never a minimum, so it is never a witness.  One np.cumsum(axis=1)
+    on the lanes' complex128 view scans both lanes at once: a complex
+    addition is two independent IEEE additions, so each lane is bitwise
+    the float scan of its own row, and the two dependency chains overlap
+    (1.83 instead of 3.55 ns per value with numpy 2.4 on a 2-vCPU VM).
+    Columns are gathered for witness ranks (row 2p + lane) in blocks of at
+    most _SORT_BYTES, so a witness search never copies the whole batch.
     """
     lanes, scratch = buf
     n, N = len(psi_rows), phi.shape[1]
