@@ -227,8 +227,8 @@ class TestSweep:
     ):
         # Batch size, sort-block size (2 rows or the default), walker
         # slices and thread count cut the net differently; every cut must
-        # give the default sweep's four arrays bit for bit.  One-row
-        # batches and one-row tails of longer batches are in every run.
+        # give the default sweep's four arrays bit for bit.  Odd batch
+        # sizes leave a lone last row in batches and sort blocks.
         frame = orbit_signed_permutations(GeneratorSpec(M, k))
         config = NetConfig.create(M, 0.25)
         default = sweep_all_K(frame, config)
