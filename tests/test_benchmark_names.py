@@ -7,13 +7,14 @@ names it wraps in ``nerfcert.cli`` (CLI_NAMES) and the ones its probes
 call in the layer modules.  A dropped flag or a changed file format
 would instead fail every benchmark run; the contract test fails first.
 The traced pass, spans and probes, must write strict JSON records with
-the counts run.py checks.
+the counts run.py checks, and run.py must end it on its result line.
 """
 
 import importlib
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -114,6 +115,31 @@ def test_benchmark_traced_path(tmp_path):
     assert cli["rc"] == EXIT_OK
     [sweep] = [s for s in cli["spans"] if s["name"] == "sweep_all_K"]
     assert sweep["counts"]["points"] == points
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_benchmark_traced_result_line(tmp_path):
+    """run.py --trace 1, run as the benchmark runs it from a checkout of
+    its own, ends on its result: a strict-JSON line, correct, with every
+    per-layer metric BENCHMARK.json declares."""
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "sweep_m10_wide",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1],
+                        parse_constant=refuse_constant)
+    assert result["correct"] is True, proc.stderr
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in declared if m["name"] not in result["metrics"]] == []
 
 
 def test_benchmark_checker_tests_pass():

@@ -297,6 +297,13 @@ class TestSweep:
         scratches = 2 * bounds._SORT_BYTES
         assert swept - walker <= 2 * lanes + scratches + 2 * 2**20
 
+    def test_walk_stays_under_three_quarters_of_a_mib(self):
+        # The walker's frontier is cut into slices of _SLICE_NODES
+        # children, so walking the 503,486 points of 8x560 never holds
+        # more than a few slices at once.
+        config = NetConfig.create(8, 0.25)
+        assert traced_peak(lambda: pruned_cardinality(config)) < 0.75 * 2**20
+
     def test_rank_offsets_across_walker_blocks(self, frame_4_12, monkeypatch):
         # Every other net here fits in one walker block; with 16-node slices
         # the 1106 points arrive in 92 blocks, so a batch's first rank must
@@ -320,6 +327,34 @@ class TestSweep:
                 assert np.array_equal(
                     getattr(table, name), getattr(default, name)
                 )
+
+    def test_batches_are_cut_from_the_walkers_stream(
+        self, frame_4_12, monkeypatch
+    ):
+        # The 1106 points arrive in 92 walker blocks; 10-row batches are
+        # cut from their stream across block boundaries, so every batch is
+        # full but the sweep's last, and each holds the ranks it says.
+        config = NetConfig.create(4, 0.25)
+        default = sweep_all_K(frame_4_12, config)
+        monkeypatch.setattr(epsnet, "_SLICE_NODES", 16)
+        monkeypatch.setattr(bounds, "chunk_rows", lambda n: 10)
+        levels = np.concatenate(list(epsnet._level_arrays(config)))
+        assert len(list(epsnet._level_arrays(config))) == 92
+        kernel, seen = bounds._chunk_accumulate, []
+
+        def record(phi, psi_rows, offset, alpha, argmin, buf):
+            seen.append((len(psi_rows), offset))
+            assert np.array_equal(
+                psi_rows,
+                epsnet._psi_from_levels(levels[offset : offset + len(psi_rows)], config),
+            )
+            kernel(phi, psi_rows, offset, alpha, argmin, buf)
+
+        monkeypatch.setattr(bounds, "_chunk_accumulate", record)
+        table = sweep_all_K(frame_4_12, config)
+        assert seen == [(10, r) for r in range(0, 1100, 10)] + [(6, 1100)]
+        for name in ("alpha_eps", "beta_eps", "argmin_r", "argmax_r"):
+            assert np.array_equal(getattr(table, name), getattr(default, name))
 
     def test_frame_layout_does_not_change_results(
         self, frame_4_12, monkeypatch
@@ -422,7 +457,7 @@ class TestSweep:
         points = net_points(config)
         for k in (1, 6, 9, 12):
             r = int(table_4_12.argmax_r[k - 1])
-            vals = sorted_squared_correlations(frame_4_12, points[r].psi)
+            vals = sorted_squared_correlations(frame_4_12, points[r].psi[::-1])
             assert math.isclose(
                 float(np.sum(vals[-k:])),
                 float(table_4_12.beta_eps[k - 1]),
@@ -434,7 +469,7 @@ class TestSweep:
         points = net_points(config)
         for k in (7, 9, 12):
             r = int(table_4_12.argmin_r[k - 1])
-            vals = sorted_squared_correlations(frame_4_12, points[r].psi)
+            vals = sorted_squared_correlations(frame_4_12, points[r].psi[::-1])
             assert math.isclose(
                 float(np.sum(vals[:k])),
                 float(table_4_12.alpha_eps[k - 1]),
