@@ -165,14 +165,20 @@ def _chunk_accumulate(
 
 
 def _net_psi_chunks(config: NetConfig, rows: int):
-    """Yield (psi_rows, first_rank) batches of at most ``rows`` points, cut
-    from each walker block in turn."""
-    offset = 0
+    """Yield (psi_rows, first_rank) batches of exactly ``rows`` points cut
+    from the walker's stream: a block's short tail is carried into the
+    next block, so only the last batch may be shorter."""
+    offset, tail = 0, None
     for levels in _level_arrays(config):
-        for start in range(0, len(levels), rows):
+        if tail is not None:
+            levels = np.concatenate((tail, levels))
+        cut = len(levels) - len(levels) % rows
+        for start in range(0, cut, rows):
             batch = levels[start : start + rows]
             yield _psi_from_levels(batch, config), offset + start
-        offset += len(levels)
+        offset, tail = offset + cut, levels[cut:]
+    if tail is not None and len(tail):
+        yield _psi_from_levels(tail, config), offset
 
 
 def resolve_threads(threads: int) -> int:
@@ -199,8 +205,9 @@ def sweep_all_K(
     exactly, with witness rank 0: every point attains the empty complement.
 
     One loop at every thread count: ``threads`` workers (the calling
-    thread and threads - 1 pool threads) each take the walker's next batch
-    of chunk_rows(N) points under one lock and fold it into minima and
+    thread and threads - 1 pool threads) each take, under one lock, the
+    next batch of chunk_rows(N) points cut from the walker's stream (only
+    the sweep's last batch is short) and fold it into minima and
     witnesses of their own, in a lane buffer of chunk_rows(N) x N values
     and a sort scratch of about _SORT_BYTES of their own; so the working
     set is about ``threads`` such pairs plus witness gathers of at most

