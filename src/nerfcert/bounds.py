@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,9 +85,11 @@ def sorted_squared_correlations(
 
 
 def chunk_rows(N: int) -> int:
-    """Net points per batch: each worker's lane buffer, two rows per
-    complex128, takes about _CHUNK_BYTES, rows clamped to [64, 4096].  A
-    function of N alone, so results never depend on the thread count.
+    """Net points per batch: as many as fit a worker's lane buffer, two
+    rows per complex128, in _CHUNK_BYTES, clamped to [2, 4096].  The floor
+    is one pair, over budget only above N = 262,144; the cap keeps witness
+    gathers within _SORT_BYTES.  A function of N alone, so results never
+    depend on the thread count.
 
     Threads overlap a batch's prefix scan only if it keeps more than 500
     pairs of rows: numpy's accumulate, behind np.cumsum(axis=1), holds the
@@ -98,7 +99,7 @@ def chunk_rows(N: int) -> int:
     N=1046, 8.0 MiB.  With 936 rows (468 pairs) the 8x560 two-thread sweep
     lost 13 % on a 2-vCPU VM.  N=4032 keeps 130 rows; its scan still holds
     the GIL, but for half as long as a one-lane scan."""
-    rows = max(64, min(4096, _CHUNK_BYTES // (8 * N)))
+    rows = max(2, min(4096, _CHUNK_BYTES // (8 * N)))
     return 1002 if 500 < rows < 1002 else rows
 
 
@@ -205,18 +206,19 @@ def sweep_all_K(
     exactly, with witness rank 0: every point attains the empty complement.
 
     One loop at every thread count: ``threads`` workers (the calling
-    thread and threads - 1 pool threads) each take, under one lock, the
+    thread and threads - 1 started threads) each take, under one lock, the
     next batch of chunk_rows(N) points cut from the walker's stream (only
     the sweep's last batch is short) and fold it into minima and
     witnesses of their own, in a lane buffer of chunk_rows(N) x N values
     and a sort scratch of about _SORT_BYTES of their own; so the working
     set is about ``threads`` such pairs plus witness gathers of at most
     _SORT_BYTES each.  The workers' results are merged once at the end by
-    elementwise min, a tie going to the smaller rank.  Every row is
-    multiplied in a block of at least two and each witness is the first
-    attaining rank, so the four arrays depend only on the frame and the
-    net: not on the thread count, the batch size, the sort-block size or
-    the walker's slicing.  A worker that raises, the calling thread included
+    elementwise min, a tie going to the smaller rank, so the order in
+    which workers finish does not matter.  Every row is multiplied in a
+    block of at least two and each witness is the first attaining rank,
+    so the four arrays depend only on the frame and the net: not on the
+    thread count, the batch size, the sort-block size or the walker's
+    slicing.  A worker that raises, the calling thread included
     when interrupted, closes the walker, so the others stop after their
     current batch, and the first exception is re-raised.  With
     ``progress`` a line goes to stderr each time the count of swept
@@ -226,8 +228,8 @@ def sweep_all_K(
     threads = resolve_threads(threads)
     rows = chunk_rows(frame.N)
     chunks = _net_psi_chunks(config, rows)
-    lock = threading.Lock()  # guards chunks, done, shown and errors
-    errors = []
+    lock = threading.Lock()  # guards chunks, done, shown, parts and errors
+    parts, errors = [], []
     done = shown = 0
 
     def work():
@@ -247,8 +249,9 @@ def sweep_all_K(
                         shown = done
                         print(f"  swept {done} net points", file=sys.stderr)
                     batch = next(chunks, None)
-                if batch is None:
-                    return alpha, argmin
+                    if batch is None:
+                        parts.append((alpha, argmin))
+                        return
                 psi_rows, offset = batch
                 points = len(psi_rows)
                 _chunk_accumulate(frame.matrix, psi_rows, offset, alpha, argmin, buf)
@@ -257,9 +260,12 @@ def sweep_all_K(
                 chunks.close()
                 errors.append(exc)
 
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:
-        jobs = [pool.submit(work) for _ in range(threads - 1)]
-        parts = [work()] + [job.result() for job in jobs]
+    workers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
     if errors:
         raise errors[0]
     if progress and shown != done:

@@ -642,23 +642,30 @@ class TestDerivedQuantities:
 
 
 class TestChunkRows:
-    @pytest.mark.parametrize("n", [12, 560, 4032, 10**6])
-    def test_bounded_by_budget(self, n):
-        rows = chunk_rows(n)
-        assert isinstance(rows, int)
-        assert 64 <= rows <= 4096
-        if rows == 1002:  # raised so the scan's 501 pairs release the GIL
-            assert rows * n * 8 <= 2 * bounds._CHUNK_BYTES
-        elif rows > 64:
-            assert rows * n * 8 <= bounds._CHUNK_BYTES
-        assert chunk_rows(n) == rows
+    @pytest.fixture(scope="class")
+    def all_rows(self):
+        """chunk_rows(N) at position N-1, for every N from 1 to 10^6."""
+        return np.array([chunk_rows(n) for n in range(1, 10**6 + 1)])
 
-    def test_no_batch_scans_under_the_gil_by_choice(self):
+    @pytest.mark.parametrize("n", [12, 560, 4032, 10**6])
+    def test_bounded_by_budget(self, n, all_rows):
+        # Every N up to n: a worker's lanes fit _CHUNK_BYTES, except the
+        # 1002-row raise (so the scan's 501 pairs release the GIL), within
+        # twice that, and the one-pair floor where 2 rows exceed it.
+        assert isinstance(chunk_rows(n), int)
+        ns, rows = np.arange(1, n + 1), all_rows[:n]
+        assert np.all((2 <= rows) & (rows <= 4096))
+        lane_bytes = rows * ns * 8
+        over = lane_bytes > bounds._CHUNK_BYTES
+        raised = over & (rows == 1002)
+        assert np.all(lane_bytes[raised] <= 2 * bounds._CHUNK_BYTES)
+        assert np.all((rows[over & ~raised] == 2) & (ns[over & ~raised] > 2**18))
+
+    def test_no_batch_scans_under_the_gil_by_choice(self, all_rows):
         # Every N from 1 to 10^6: 501-1001 rows would make 251-501 pairs,
         # a scan that holds the GIL, so no N gets them.
-        rows = np.array([chunk_rows(n) for n in range(1, 10**6 + 1)])
-        assert not np.any((rows > 500) & (rows < 1002))
-        n = np.flatnonzero(rows == 1002) + 1
+        assert not np.any((all_rows > 500) & (all_rows < 1002))
+        n = np.flatnonzero(all_rows == 1002) + 1
         assert 1002 * n.max() * 8 <= 2 * bounds._CHUNK_BYTES
 
     def test_reference_sizes(self):

@@ -684,3 +684,20 @@ class TestVersion:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+
+class TestImport:
+    def test_no_executor_import_chain(self):
+        # The sweep starts plain threads, so importing the command line
+        # loads neither concurrent.futures nor the logging it pulls in.
+        src = str(Path(nerfcert.__file__).resolve().parents[1])
+        code = (
+            "import sys, nerfcert.cli; "
+            "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
