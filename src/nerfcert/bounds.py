@@ -85,11 +85,10 @@ def sorted_squared_correlations(
 
 
 def chunk_rows(N: int) -> int:
-    """Net points per batch: as many as fit a worker's lane buffer, two
-    rows per complex128, in _CHUNK_BYTES, clamped to [2, 4096].  The floor
-    is one pair, over budget only above N = 262,144; the cap keeps witness
-    gathers within _SORT_BYTES.  A function of N alone, so results never
-    depend on the thread count.
+    """Net points per batch: each worker's lane buffer, two rows per
+    complex128, takes about _CHUNK_BYTES, rows clamped to [2, 4096]: at
+    least one pair, and few enough that witness gathers fit _SORT_BYTES.
+    A function of N alone, so results never depend on the thread count.
 
     Threads overlap a batch's prefix scan only if it keeps more than 500
     pairs of rows: numpy's accumulate, behind np.cumsum(axis=1), holds the
@@ -213,14 +212,13 @@ def sweep_all_K(
     and a sort scratch of about _SORT_BYTES of their own; so the working
     set is about ``threads`` such pairs plus witness gathers of at most
     _SORT_BYTES each.  The workers' results are merged once at the end by
-    elementwise min, a tie going to the smaller rank, so the order in
-    which workers finish does not matter.  Every row is multiplied in a
-    block of at least two and each witness is the first attaining rank,
-    so the four arrays depend only on the frame and the net: not on the
-    thread count, the batch size, the sort-block size or the walker's
-    slicing.  A worker that raises, the calling thread included
-    when interrupted, closes the walker, so the others stop after their
-    current batch, and the first exception is re-raised.  With
+    elementwise min, a tie going to the smaller rank, in any order.  Every
+    row is multiplied in a block of at least two and each witness is the
+    first attaining rank, so the four arrays depend only on the frame and
+    the net: not on the thread count, the batch size, the sort-block size
+    or the walker's slicing.  A worker that raises, the calling thread
+    included when interrupted, closes the walker, so the others stop after
+    their current batch, and the first exception is re-raised.  With
     ``progress`` a line goes to stderr each time the count of swept
     points passes a multiple of _PROGRESS_EVERY, and one final line gives
     the total.

@@ -652,7 +652,7 @@ class TestChunkRows:
         # Every N up to n: a worker's lanes fit _CHUNK_BYTES, except the
         # 1002-row raise (so the scan's 501 pairs release the GIL), within
         # twice that, and the one-pair floor where 2 rows exceed it.
-        assert isinstance(chunk_rows(n), int)
+        assert isinstance(chunk_rows(n), int) and chunk_rows(n) == all_rows[n - 1]
         ns, rows = np.arange(1, n + 1), all_rows[:n]
         assert np.all((2 <= rows) & (rows <= 4096))
         lane_bytes = rows * ns * 8
