@@ -29,7 +29,10 @@ from .errors import InvalidInputError, InvariantViolationError
 from .frames import FrameMatrix
 
 _CHUNK_BYTES = 4 * 2**20  # per worker's rows x N float64 lanes; chunk_rows
-_SORT_BYTES = 256 * 2**10  # per worker's sort scratch and per witness gather
+_SORT_BYTES = 256 * 2**10  # per worker's sort scratch, sized for L2
+# Per witness gather copy: under glibc's default 128 KiB mmap threshold, so
+# each copy reuses resident heap pages instead of mapping fresh ones.
+_GATHER_BYTES = 64 * 2**10
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column no batch has set
 _PROGRESS_EVERY = 100_000  # net points between progress lines
 
@@ -86,9 +89,11 @@ def sorted_squared_correlations(
 
 def chunk_rows(N: int) -> int:
     """Net points per batch: each worker's lane buffer, two rows per
-    complex128, takes about _CHUNK_BYTES, rows clamped to [2, 4096]: at
-    least one pair, and few enough that witness gathers fit _SORT_BYTES.
-    A function of N alone, so results never depend on the thread count.
+    complex128, takes about _CHUNK_BYTES, rows clamped to [2, 4096] and
+    rounded down to whole pairs, so the buffer is the budget counted here.
+    4096 rows keep a one-column witness gather (4096 values) under
+    _GATHER_BYTES.  A function of N alone, so results never depend on the
+    thread count.
 
     Threads overlap a batch's prefix scan only if it keeps more than 500
     pairs of rows: numpy's accumulate, behind np.cumsum(axis=1), holds the
@@ -99,7 +104,7 @@ def chunk_rows(N: int) -> int:
     lost 13 % on a 2-vCPU VM.  N=4032 keeps 130 rows; its scan still holds
     the GIL, but for half as long as a one-lane scan."""
     rows = max(2, min(4096, _CHUNK_BYTES // (8 * N)))
-    return 1002 if 500 < rows < 1002 else rows
+    return 1002 if 500 < rows < 1002 else rows // 2 * 2
 
 
 def _sort_rows(N: int) -> int:
@@ -134,7 +139,9 @@ def _chunk_accumulate(
     the float scan of its own row, and the two dependency chains overlap
     (1.83 instead of 3.55 ns per value with numpy 2.4 on a 2-vCPU VM).
     Columns are gathered for witness ranks (row 2p + lane) in blocks of at
-    most _SORT_BYTES, so a witness search never copies the whole batch.
+    most _GATHER_BYTES; the gather, its transposed reshape and argmin's
+    own copy then stay under glibc's mmap threshold and reuse heap pages.
+    A column's first attaining rank does not depend on the blocking.
     """
     lanes, scratch = buf
     n, N = len(psi_rows), phi.shape[1]
@@ -157,7 +164,7 @@ def _chunk_accumulate(
     part = lanes[:pairs].reshape(pairs, 2 * N).min(axis=0).reshape(N, 2).min(axis=1)
     idx = np.flatnonzero(part < alpha)
     alpha[idx] = part[idx]
-    width = max(1, _SORT_BYTES // (16 * pairs))
+    width = max(1, _GATHER_BYTES // (16 * pairs))
     for start in range(0, len(idx), width):
         cols = idx[start : start + width]
         ranked = lanes[:pairs, cols, :].transpose(0, 2, 1).reshape(2 * pairs, len(cols))
@@ -211,7 +218,7 @@ def sweep_all_K(
     witnesses of their own, in a lane buffer of chunk_rows(N) x N values
     and a sort scratch of about _SORT_BYTES of their own; so the working
     set is about ``threads`` such pairs plus witness gathers of at most
-    _SORT_BYTES each.  The workers' results are merged once at the end by
+    _GATHER_BYTES each.  The workers' results are merged once at the end by
     elementwise min, a tie going to the smaller rank, in any order.  Every
     row is multiplied in a block of at least two and each witness is the
     first attaining rank, so the four arrays depend only on the frame and

@@ -186,9 +186,10 @@ class TestSweep:
         self, frame_4_12, monkeypatch, threads
     ):
         # A one-byte budget still gathers one column per block, so each
-        # witness search walks the improved columns one at a time; it also
-        # sorts in 2-row blocks.
+        # witness search walks the improved columns one at a time; a
+        # one-byte sort budget sorts in 2-row blocks.
         monkeypatch.setattr(bounds, "chunk_rows", lambda n: 7)
+        monkeypatch.setattr(bounds, "_GATHER_BYTES", 1)
         monkeypatch.setattr(bounds, "_SORT_BYTES", 1)
         config = NetConfig.create(4, 0.25)
         table = sweep_all_K(frame_4_12, config, threads=threads)
@@ -296,6 +297,30 @@ class TestSweep:
         lanes = chunk_rows(80) * 80 * 8
         scratches = 2 * bounds._SORT_BYTES
         assert swept - walker <= 2 * lanes + scratches + 2 * 2**20
+
+    @pytest.mark.parametrize("M, N", [(8, 560), (10, 4032)])
+    def test_witness_gathers_stay_under_the_mmap_threshold(self, M, N):
+        # One batch in which every column improves, so every column is
+        # gathered for its witness.  Above the worker's lanes and sort
+        # scratch, the batch may allocate less than 256 KiB: gathers of
+        # _GATHER_BYTES, their transposed copies and argmin's own copy,
+        # each under glibc's 128 KiB mmap threshold.  With 256 KiB gathers
+        # the peak was 515 KiB at N=560 and 579 KiB at N=4032.
+        rng = np.random.default_rng(N)
+        phi = rng.standard_normal((M, N))
+        rows = chunk_rows(N)
+        psi_rows = rng.standard_normal((rows, M))
+        alpha = np.full(N, np.inf)
+        argmin = np.full(N, bounds._NO_RANK, dtype=np.int64)
+        buf = (
+            np.empty((rows // 2, N, 2)),
+            np.empty((bounds._sort_rows(N), N)),
+        )
+        peak = traced_peak(
+            lambda: bounds._chunk_accumulate(phi, psi_rows, 0, alpha, argmin, buf)
+        )
+        assert np.all(argmin < rows) and np.all(alpha < np.inf)
+        assert peak < 256 * 2**10
 
     def test_walk_stays_under_three_quarters_of_a_mib(self):
         # The walker's frontier is cut into slices of _SLICE_NODES
@@ -649,13 +674,14 @@ class TestChunkRows:
 
     @pytest.mark.parametrize("n", [12, 560, 4032, 10**6])
     def test_bounded_by_budget(self, n, all_rows):
-        # Every N up to n: a worker's lanes fit _CHUNK_BYTES, except the
-        # 1002-row raise (so the scan's 501 pairs release the GIL), within
-        # twice that, and the one-pair floor where 2 rows exceed it.
+        # Every N up to n: a worker's lanes, (rows + 1) // 2 pairs of N
+        # complex128 as allocated, fit _CHUNK_BYTES, except the 1002-row
+        # raise (so the scan's 501 pairs release the GIL), within twice
+        # that, and the one-pair floor where 2 rows exceed it.
         assert isinstance(chunk_rows(n), int) and chunk_rows(n) == all_rows[n - 1]
         ns, rows = np.arange(1, n + 1), all_rows[:n]
         assert np.all((2 <= rows) & (rows <= 4096))
-        lane_bytes = rows * ns * 8
+        lane_bytes = (rows + 1) // 2 * 16 * ns
         over = lane_bytes > bounds._CHUNK_BYTES
         raised = over & (rows == 1002)
         assert np.all(lane_bytes[raised] <= 2 * bounds._CHUNK_BYTES)
