@@ -139,9 +139,8 @@ def _chunk_accumulate(
     the float scan of its own row, and the two dependency chains overlap
     (1.83 instead of 3.55 ns per value with numpy 2.4 on a 2-vCPU VM).
     Columns are gathered for witness ranks (row 2p + lane) in blocks of at
-    most _GATHER_BYTES; the gather, its transposed reshape and argmin's
-    own copy then stay under glibc's mmap threshold and reuse heap pages.
-    A column's first attaining rank does not depend on the blocking.
+    most _GATHER_BYTES; a column's first attaining rank does not depend on
+    the blocking.
     """
     lanes, scratch = buf
     n, N = len(psi_rows), phi.shape[1]
