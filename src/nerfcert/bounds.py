@@ -51,20 +51,23 @@ __all__ = [
 
 @dataclass
 class BoundsTable:
-    """Per-K bound arrays, all indexed K = 1..N at position K-1."""
+    """Per-K bound arrays, all indexed K = 1..N at position K-1, for the
+    frame's N columns and the net ``config`` they were swept over."""
 
-    M: int
+    config: NetConfig
     N: int
-    epsilon_sq: float
     alpha_eps: np.ndarray
     beta_eps: np.ndarray
     argmin_r: np.ndarray  # net point rank attaining alpha_eps[K]
-    argmax_r: np.ndarray
     net_points_used: int
-    L: int
-    delta: float
     alpha_lower: Optional[np.ndarray] = None
     beta_upper: Optional[np.ndarray] = None
+
+    @property
+    def argmax_r(self) -> np.ndarray:
+        """Net point rank attaining beta_eps[K]: by duality that of
+        alpha_eps[N-K], and rank 0 at K = N, which every point attains."""
+        return np.append(self.argmin_r[-2::-1], 0)
 
     @property
     def certified(self) -> bool:
@@ -286,20 +289,7 @@ def sweep_all_K(
         raise InvariantViolationError("sweep left a bound with no witness")
     beta = np.full(frame.N, frame.N / frame.M)
     beta[:-1] -= alpha[-2::-1]
-    argmax = np.zeros(frame.N, dtype=np.int64)
-    argmax[:-1] = argmin[-2::-1]
-    return BoundsTable(
-        M=frame.M,
-        N=frame.N,
-        epsilon_sq=config.epsilon_sq,
-        alpha_eps=alpha,
-        beta_eps=beta,
-        argmin_r=argmin,
-        argmax_r=argmax,
-        net_points_used=done,
-        L=config.L,
-        delta=config.delta,
-    )
+    return BoundsTable(config, frame.N, alpha, beta, argmin, done)
 
 
 def certify(table: BoundsTable) -> BoundsTable:
@@ -317,13 +307,11 @@ def certify(table: BoundsTable) -> BoundsTable:
     the same way from the largest eigenvalue.  A negative alpha_lower
     certifies nothing at that K.
     """
-    if not 0.0 < table.epsilon_sq < 1.0:
-        raise InvalidInputError(
-            f"epsilon_sq must lie in (0,1), got {table.epsilon_sq}"
-        )
-    eps_sq = table.epsilon_sq
+    eps_sq = table.config.epsilon_sq
+    if not 0.0 < eps_sq < 1.0:
+        raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {eps_sq}")
     scale = 1.0 / (1.0 - eps_sq)
-    redundancy = table.N / table.M
+    redundancy = table.N / table.config.M
     table.beta_upper = np.minimum(redundancy, table.beta_eps * scale)
     table.alpha_lower = (table.alpha_eps - eps_sq * redundancy) * scale
     return table
@@ -377,15 +365,16 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
     """
     if not table.certified:
         raise InvalidInputError("table must be certified first")
+    config, N = table.config, table.N
     header = {
-        "M": table.M,
-        "N": table.N,
-        "epsilon_sq": table.epsilon_sq,
-        "L": table.L,
-        "delta": table.delta,
+        "M": config.M,
+        "N": N,
+        "epsilon_sq": config.epsilon_sq,
+        "L": config.L,
+        "delta": config.delta,
         "net_points_used": table.net_points_used,
     }
-    N, nm = table.N, table.N / table.M
+    nm = N / config.M
     k = np.arange(1, N + 1)
     np.savetxt(
         path,
@@ -402,7 +391,8 @@ def read_bounds_csv(path) -> BoundsTable:
     table.  The header must give the integers M, N, net_points_used >= 1
     and L >= 2 and the floats epsilon_sq and delta in (0, 1); other keys
     are ignored.  The K column must read 1..N in order, and every cell
-    must be finite.  Witness ranks are not in the CSV and read as 0."""
+    must be finite.  The table names the net the header describes;
+    witness ranks are not in the CSV and read as 0, argmax_r too."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first = fh.readline()
@@ -417,8 +407,8 @@ def read_bounds_csv(path) -> BoundsTable:
         for key in ("epsilon_sq", "delta"):
             if type(meta[key]) is not float or not 0 < meta[key] < 1:
                 raise ValueError(f"{key} must be a float in (0, 1), got {meta[key]!r}")
-        m, n, eps_sq = meta["M"], meta["N"], meta["epsilon_sq"]
-        L, delta, points = meta["L"], meta["delta"], meta["net_points_used"]
+        config = NetConfig(meta["M"], meta["epsilon_sq"], meta["L"], meta["delta"])
+        n = meta["N"]
         cols = (
             np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
             if rows
@@ -438,16 +428,6 @@ def read_bounds_csv(path) -> BoundsTable:
     if bad.size:
         raise InvalidInputError(f"{path}: non-finite cell at K={bad[0] + 1}")
     return BoundsTable(
-        M=m,
-        N=n,
-        epsilon_sq=eps_sq,
-        alpha_eps=cols[:, 1],
-        beta_eps=cols[:, 2],
-        argmin_r=np.zeros(n, dtype=np.int64),
-        argmax_r=np.zeros(n, dtype=np.int64),
-        net_points_used=points,
-        L=L,
-        delta=delta,
-        alpha_lower=cols[:, 3],
-        beta_upper=cols[:, 4],
+        config, n, cols[:, 1], cols[:, 2], np.zeros(n, dtype=np.int64),
+        meta["net_points_used"], alpha_lower=cols[:, 3], beta_upper=cols[:, 4],
     )

@@ -213,9 +213,9 @@ def _cmd_oracle(args) -> int:
     frame = read_frame(args.frame)
     if args.check:
         table = read_bounds_csv(args.check)
-        if (table.M, table.N) != (frame.M, frame.N):
+        if (table.config.M, table.N) != (frame.M, frame.N):
             raise InvalidInputError(
-                f"{args.check}: bounds of a {table.M}x{table.N} frame, "
+                f"{args.check}: bounds of a {table.config.M}x{table.N} frame, "
                 f"but {args.frame} is {frame.M}x{frame.N}"
             )
     results = exact_bounds_all_K(
@@ -230,12 +230,13 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_report(args) -> int:
     est = read_bounds_csv(args.estimate)
-    oracle_rows = read_oracle_csv(args.oracle, est.M, est.N) if args.oracle else {}
+    N = est.N
+    oracle_rows = read_oracle_csv(args.oracle, est.config.M, N) if args.oracle else {}
     require_sandwich(est, oracle_rows)
-    exact = [oracle_rows.get(k, (math.nan, math.nan)) for k in range(1, est.N + 1)]
+    exact = [oracle_rows.get(k, (math.nan, math.nan)) for k in range(1, N + 1)]
     np.savetxt(
         args.output or sys.stdout,
-        np.column_stack((np.arange(1, est.N + 1), est.alpha_lower, est.alpha_eps,
+        np.column_stack((np.arange(1, N + 1), est.alpha_lower, est.alpha_eps,
                          exact, est.beta_eps, est.beta_upper)),
         fmt="%.17g", delimiter=",", comments="",
         header="K,alpha_lower,alpha_eps,alpha_exact,beta_exact,beta_eps,beta_upper",

@@ -156,7 +156,7 @@ def _psi_from_levels(levels: np.ndarray, config: NetConfig) -> np.ndarray:
     the vector swept.
     """
     psi = config.level_powers[levels]
-    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    psi /= np.sqrt(np.add.reduce(psi * psi, axis=1, keepdims=True))
     return psi
 
 

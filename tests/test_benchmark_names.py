@@ -4,12 +4,14 @@ command lines perfbench/run.py runs must keep passing its checks.
 child.py skips a name that has gone and reports its metrics as absent,
 so a rename would silently blind the benchmark.  This list mirrors the
 names it wraps in ``nerfcert.cli`` (CLI_NAMES) and the ones its probes
-call in the layer modules.  A dropped flag or a changed file format
-would instead fail every benchmark run; the contract test fails first.
+call in the layer modules, and is checked against child.py's source.
+A dropped flag or a changed file format would instead fail every
+benchmark run; the contract test fails first.
 The traced pass, spans and probes, must write strict JSON records with
 the counts run.py checks, and run.py must end it on its result line.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -47,6 +49,27 @@ def test_benchmark_name_resolves(module, name):
     for attr in name.split("."):
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_names_mirror_child():
+    """NAMES is a hand copy: child.py's CLI_NAMES keys, and the module and
+    name of each probe(metric, module, name, ...) call.  Read from its
+    source, so a rename on either side fails here."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    [cli_names] = [
+        node.value for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["CLI_NAMES"]
+    ]
+    probes = {
+        ("nerfcert." + node.args[1].id, node.args[2].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "probe"
+    }
+    names = set(NAMES)
+    cli = {(m, n) for m, n in names if m == "nerfcert.cli"}
+    assert {("nerfcert.cli", k.value) for k in cli_names.keys} == cli
+    assert probes == names - cli
 
 
 def test_benchmark_cli_contract(tmp_path, monkeypatch, capsys):

@@ -542,7 +542,7 @@ class DualityChecks:
 
     def test_upper_side_mirrors_lower(self, frame, eps_sq):
         table = sweep_all_K(frame, NetConfig.create(frame.M, eps_sq))
-        n, nm = table.N, table.N / table.M
+        n, nm = table.N, table.N / table.config.M
         assert table.beta_eps[n - 1] == nm
         for k in range(1, n):
             assert table.beta_eps[k - 1] == nm - table.alpha_eps[n - k - 1]
@@ -694,6 +694,11 @@ class TestChunkRows:
         n = np.flatnonzero(all_rows == 1002) + 1
         assert 1002 * n.max() * 8 <= 2 * bounds._CHUNK_BYTES
 
+    def test_batches_are_whole_pairs(self, all_rows):
+        # Every N from 1 to 10^6: only the sweep's last batch can be odd,
+        # so a lane buffer of (rows + 1) // 2 pairs holds no spare pair.
+        assert np.all(all_rows % 2 == 0)
+
     def test_reference_sizes(self):
         assert chunk_rows(560) == 1002
         assert chunk_rows(4032) == 130
@@ -726,20 +731,28 @@ class TestCsv:
         path = tmp_path / "bounds.csv"
         write_bounds_csv(table, path)
         back = read_bounds_csv(path)
-        assert back.M == 4 and back.N == 12
+        assert back.config.M == 4 and back.N == 12
         assert back.certified
         assert np.array_equal(back.alpha_eps, table.alpha_eps)
         assert np.array_equal(back.alpha_lower, table.alpha_lower)
-        assert (back.L, back.delta, back.net_points_used) == (
-            table.L, table.delta, table.net_points_used
-        )
+        assert back.net_points_used == table.net_points_used
+        # The table read back names its own net.
+        assert back.config == table.config
+        assert pruned_cardinality(back.config) == back.net_points_used
+
+    def test_each_fact_is_stored_once(self):
+        # The net's parameters live in the table's NetConfig, and argmax_r
+        # is derived from argmin_r by duality.
+        names = [f.name for f in dataclasses.fields(bounds.BoundsTable)]
+        assert len(names) == 8
+        assert not {"M", "epsilon_sq", "L", "delta", "argmax_r"} & set(names)
 
     def test_bytes_are_17_digit_rows(self, tmp_path):
         # A hand-built table, no sweep: the format alone sets the bytes.
         cells = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e300])
         N, M, ranks = 5, 2, np.zeros(5, int)
         table = bounds.BoundsTable(
-            M, N, 0.25, cells, cells[::-1].copy(), ranks, ranks, 7, 3, 0.5,
+            NetConfig(M, 0.25, 3, 0.5), N, cells, cells[::-1].copy(), ranks, 7,
             alpha_lower=-cells, beta_upper=3 * cells,
         )
         path = tmp_path / "bounds.csv"
