@@ -153,7 +153,8 @@ def _psi_from_levels(levels: np.ndarray, config: NetConfig) -> np.ndarray:
 
     The one psi construction: the sweep and :func:`verify_covering` score
     these rows and StepPoint reverses one, so a rebuilt witness is bitwise
-    the vector swept.
+    the vector swept.  The norm is np.linalg.norm's arithmetic for real
+    rows, without its conj() copy of the batch.
     """
     psi = config.level_powers[levels]
     psi /= np.sqrt(np.add.reduce(psi * psi, axis=1, keepdims=True))
