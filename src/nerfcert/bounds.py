@@ -163,7 +163,7 @@ def _chunk_accumulate(
         lanes[pairs - 1, :, 1] = np.inf
     scan = lanes[:pairs].view(np.complex128)[..., 0]
     np.cumsum(scan, axis=1, out=scan)
-    part = lanes[:pairs].reshape(pairs, 2 * N).min(axis=0).reshape(N, 2).min(axis=1)
+    part = np.minimum(*lanes[:pairs].min(axis=0).T)  # over pairs, then lanes
     idx = np.flatnonzero(part < alpha)
     alpha[idx] = part[idx]
     width = max(1, _GATHER_BYTES // (16 * pairs))

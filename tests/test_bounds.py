@@ -322,12 +322,13 @@ class TestSweep:
         assert np.all(argmin < rows) and np.all(alpha < np.inf)
         assert peak < 256 * 2**10
 
-    def test_walk_stays_under_three_quarters_of_a_mib(self):
+    def test_walk_stays_under_three_tenths_of_a_mib(self):
         # The walker's frontier is cut into slices of _SLICE_NODES
-        # children; with 8k-node slices the walk of these 503,486 points
-        # took 1.83 MiB.
+        # children, each carrying the counts its frontier computed; the
+        # walk of these 503,486 points took 1.83 MiB with 8k-node slices
+        # and 0.53 MiB with 2k-node slices that recounted their children.
         config = NetConfig.create(8, 0.25)
-        assert traced_peak(lambda: pruned_cardinality(config)) < 0.75 * 2**20
+        assert traced_peak(lambda: pruned_cardinality(config)) < 0.3 * 2**20
 
     def test_rank_offsets_across_walker_blocks(self, frame_4_12, monkeypatch):
         # The 4x12 nets here fit in one walker block; with 16-node slices
