@@ -8,9 +8,8 @@ side needs no sweep of its own: for a unit norm tight frame every unit
 psi has sum_n |<psi,phi_n>|^2 = N/M, so the sum of the K largest is N/M
 minus the sum of the N-K smallest, and beta_eps[K] = N/M - alpha_eps[N-K]
 (the exact bounds obey the same identity, since the complement of a
-K-subset has frame operator (N/M)I - S).  Certification then converts
-these into two-sided intervals around the true extremal eigenvalue
-bounds.
+K-subset has frame operator (N/M)I - S).  The sweep then certifies these
+into intervals around the true extremal eigenvalue bounds (:func:`certify`).
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ __all__ = [
 
 @dataclass
 class BoundsTable:
-    """Per-K bound arrays, all indexed K = 1..N at position K-1, for the
-    frame's N columns and the net ``config`` they were swept over."""
+    """Per-K estimates, witnesses and certified endpoints, indexed K = 1..N
+    at position K-1, for the frame's N columns and the net ``config``."""
 
     config: NetConfig
     N: int
@@ -60,18 +59,14 @@ class BoundsTable:
     beta_eps: np.ndarray
     argmin_r: np.ndarray  # net point rank attaining alpha_eps[K]
     net_points_used: int
-    alpha_lower: Optional[np.ndarray] = None
-    beta_upper: Optional[np.ndarray] = None
+    alpha_lower: np.ndarray
+    beta_upper: np.ndarray
 
     @property
     def argmax_r(self) -> np.ndarray:
         """Net point rank attaining beta_eps[K]: by duality that of
         alpha_eps[N-K], and rank 0 at K = N, which every point attains."""
         return np.append(self.argmin_r[-2::-1], 0)
-
-    @property
-    def certified(self) -> bool:
-        return self.alpha_lower is not None
 
 
 def sorted_squared_correlations(
@@ -204,7 +199,8 @@ def sweep_all_K(
     threads: int = 1,
     progress: bool = False,
 ) -> BoundsTable:
-    """One pass over the net filling alpha_eps, then beta_eps by duality.
+    """One pass over the net filling alpha_eps, beta_eps by duality, and
+    the certified endpoints by the paper's formulas (:func:`certify`).
 
     The caller is responsible for the frame being signed-permutation
     invariant and unit-norm (frames.require_certifiable checks); only then
@@ -230,8 +226,13 @@ def sweep_all_K(
     their current batch, and the first exception is re-raised.  With
     ``progress`` a line goes to stderr each time the count of swept
     points passes a multiple of _PROGRESS_EVERY, and one final line gives
-    the total.
+    the total.  A net for another M, or with epsilon_sq outside (0, 1),
+    which certify refuses, is refused before the walk starts.
     """
+    if config.M != frame.M:
+        raise InvalidInputError(f"net is for M={config.M}, frame has M={frame.M}")
+    if not 0.0 < config.epsilon_sq < 1.0:
+        raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {config.epsilon_sq}")
     threads = resolve_threads(threads)
     rows = chunk_rows(frame.N)
     chunks = _net_psi_chunks(config, rows)
@@ -289,12 +290,13 @@ def sweep_all_K(
         raise InvariantViolationError("sweep left a bound with no witness")
     beta = np.full(frame.N, frame.N / frame.M)
     beta[:-1] -= alpha[-2::-1]
-    return BoundsTable(config, frame.N, alpha, beta, argmin, done)
+    lower, upper = _endpoints(config, frame.N, alpha, beta)
+    return BoundsTable(config, frame.N, alpha, beta, argmin, done, lower, upper)
 
 
 def certify(table: BoundsTable) -> BoundsTable:
-    """Fill the certified endpoints as the paper does, for a unit norm
-    tight frame; its published tables come from these formulas:
+    """Recompute the certified endpoints that a swept table carries, by
+    the paper's formulas for a unit norm tight frame (its tables use them):
 
         alpha_lower[K] = (alpha_eps[K] - eps^2 * N/M) / (1 - eps^2)
         beta_upper[K]  = min(N/M, beta_eps[K] / (1 - eps^2))
@@ -310,11 +312,17 @@ def certify(table: BoundsTable) -> BoundsTable:
     eps_sq = table.config.epsilon_sq
     if not 0.0 < eps_sq < 1.0:
         raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {eps_sq}")
-    scale = 1.0 / (1.0 - eps_sq)
-    redundancy = table.N / table.config.M
-    table.beta_upper = np.minimum(redundancy, table.beta_eps * scale)
-    table.alpha_lower = (table.alpha_eps - eps_sq * redundancy) * scale
+    ends = _endpoints(table.config, table.N, table.alpha_eps, table.beta_eps)
+    table.alpha_lower, table.beta_upper = ends
     return table
+
+
+def _endpoints(config: NetConfig, N: int, alpha_eps, beta_eps) -> tuple:
+    """(alpha_lower, beta_upper) by the formulas of :func:`certify`."""
+    eps_sq, redundancy = config.epsilon_sq, N / config.M
+    scale = 1.0 / (1.0 - eps_sq)
+    lower = (alpha_eps - eps_sq * redundancy) * scale
+    return lower, np.minimum(redundancy, beta_eps * scale)
 
 
 def min_spanning_K(table: BoundsTable) -> Optional[int]:
@@ -322,16 +330,12 @@ def min_spanning_K(table: BoundsTable) -> Optional[int]:
 
     At that K every K-column submatrix is guaranteed to span R^M.
     """
-    if not table.certified:
-        raise InvalidInputError("table must be certified first")
     positive = np.flatnonzero(table.alpha_lower > 0)
     return int(positive[0]) + 1 if positive.size else None
 
 
 def condition_number_bound(table: BoundsTable, K: int) -> Optional[float]:
     """beta_upper[K] / alpha_lower[K], or None without a lower certificate."""
-    if not table.certified:
-        raise InvalidInputError("table must be certified first")
     if not 1 <= K <= table.N:
         raise InvalidInputError(f"K={K} out of range 1..{table.N}")
     lower = table.alpha_lower[K - 1]
@@ -357,14 +361,11 @@ def require_sandwich(table: BoundsTable, exact: dict) -> None:
 
 def write_bounds_csv(table: BoundsTable, path) -> None:
     """Certified bounds CSV: one JSON header line with exactly the keys
-    :func:`read_bounds_csv` requires, then one row per K.  Refuses an
-    uncertified table, so every bounds CSV carries its certificate.
+    :func:`read_bounds_csv` requires, then one row per K.
 
     Timing is deliberately left to the JSON run report so identical
     configurations produce byte-identical CSVs.
     """
-    if not table.certified:
-        raise InvalidInputError("table must be certified first")
     config, N = table.config, table.N
     header = {
         "M": config.M,

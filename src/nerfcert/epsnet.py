@@ -142,9 +142,18 @@ class StepPoint:
     def from_ascending_levels(
         cls, levels: Sequence[int], config: NetConfig
     ) -> "StepPoint":
-        """Build from level exponents sorted ascending (entry M first)."""
+        """Build from M integer level exponents in 0..L-1, sorted ascending
+        (entry M first), as the walker yields them."""
         levels = tuple(levels)
-        psi = _psi_from_levels(np.array([levels]), config)[0, ::-1]
+        row = np.array([levels])
+        if (row.dtype.kind not in "iu" or row.shape != (1, config.M)
+                or row[0, 0] < 0 or row[0, -1] >= config.L
+                or np.any(row[0, 1:] < row[0, :-1])):
+            raise InvalidInputError(
+                f"levels {levels} are not {config.M} ascending integers "
+                f"in 0..{config.L - 1}"
+            )
+        psi = _psi_from_levels(row, config)[0, ::-1]
         return cls(levels, psi)
 
 
@@ -311,8 +320,10 @@ def verify_covering(
 
     Samples uniform sphere points, folds them into the sector, quantizes,
     and verifies <x, psi_x> >= sqrt(1 - eps^2) and that each quantization
-    passes the prune conditions.
+    passes the prune conditions.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise InvalidInputError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(rng_seed)
     X = rng.standard_normal((trials, config.M))
     X = np.abs(X)

@@ -472,6 +472,27 @@ class TestSweep:
         with pytest.raises(InvariantViolationError):
             sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"M": 5}, "net is for M=5, frame has M=4"),
+         ({"epsilon_sq": 0.0}, r"got 0\.0"),
+         ({"epsilon_sq": 1.0}, r"got 1\.0"),
+         ({"epsilon_sq": -0.5}, r"got -0\.5")],
+    )
+    def test_config_refused_before_the_walk(
+        self, frame_4_12, monkeypatch, change, message
+    ):
+        # A net of another M would fail in a worker's matmul, and an
+        # epsilon_sq outside (0, 1) only at certification after the whole
+        # sweep: both are refused before the net is walked.
+        def walk(*args):
+            raise AssertionError("the net was walked")
+
+        monkeypatch.setattr(bounds, "_net_psi_chunks", walk)
+        config = dataclasses.replace(NetConfig.create(4, 0.5), **change)
+        with pytest.raises(InvalidInputError, match=message):
+            sweep_all_K(frame_4_12, config, threads=2)
+
     def test_non_tight_frame_still_swept(self):
         # The library sweep does not check invariance or tightness: a
         # one-column frame times the net walk alone.
@@ -513,6 +534,26 @@ class TestCertify:
     def test_beta_upper_capped_by_redundancy(self, frame_4_12):
         table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
         assert np.all(table.beta_upper <= 3.0 + 1e-12)
+
+    @pytest.mark.parametrize("M, k, eps_sq", [(4, 2, 0.5), (5, 2, 0.25)])
+    def test_swept_table_is_certified(self, M, k, eps_sq, tmp_path):
+        # The sweep returns the paper's endpoints, bitwise, without a call
+        # to certify; every consumer takes the table, and certify
+        # recomputes the same bits.
+        frame = orbit_signed_permutations(GeneratorSpec(M, k))
+        table = sweep_all_K(frame, NetConfig.create(M, eps_sq))
+        nm, scale = table.N / M, 1.0 / (1.0 - eps_sq)
+        lower = (table.alpha_eps - eps_sq * nm) * scale
+        upper = np.minimum(nm, table.beta_eps * scale)
+        assert table.alpha_lower.tobytes() == lower.tobytes()
+        assert table.beta_upper.tobytes() == upper.tobytes()
+        write_bounds_csv(table, tmp_path / "bounds.csv")
+        k_span = min_spanning_K(table)
+        assert condition_number_bound(table, k_span) > 1.0
+        names = ("alpha_eps", "beta_eps", "argmin_r", "alpha_lower", "beta_upper")
+        before = [getattr(table, name).tobytes() for name in names]
+        assert certify(table) is table
+        assert [getattr(table, name).tobytes() for name in names] == before
 
 
 class DualityChecks:
@@ -658,14 +699,6 @@ class TestDerivedQuantities:
         assert cond > 1.0
         assert condition_number_bound(table, 1) is None
 
-    def test_requires_certification(self, table_4_12):
-        fresh = sweep_all_K(
-            orbit_signed_permutations(GeneratorSpec(4, 2)),
-            NetConfig.create(4, 0.5),
-        )
-        with pytest.raises(InvalidInputError):
-            min_spanning_K(fresh)
-
 
 class TestChunkRows:
     @pytest.fixture(scope="class")
@@ -733,7 +766,6 @@ class TestCsv:
         write_bounds_csv(table, path)
         back = read_bounds_csv(path)
         assert back.config.M == 4 and back.N == 12
-        assert back.certified
         assert np.array_equal(back.alpha_eps, table.alpha_eps)
         assert np.array_equal(back.alpha_lower, table.alpha_lower)
         assert back.net_points_used == table.net_points_used
@@ -774,12 +806,6 @@ class TestCsv:
             )
         )
         assert path.read_text() == expected
-
-    def test_uncertified_table_refused(self, table_4_12, tmp_path):
-        path = tmp_path / "bounds.csv"
-        with pytest.raises(InvalidInputError, match="certified"):
-            write_bounds_csv(table_4_12, path)
-        assert not path.exists()
 
     def test_header_keys_are_the_required_keys(self, frame_4_12, tmp_path):
         # Every key the writer emits is one the reader requires, and the

@@ -163,6 +163,21 @@ class TestStepPoint:
         point = StepPoint.from_ascending_levels((0, 0, 0, 0), config)
         assert np.allclose(point.psi, 0.5)
 
+    @pytest.mark.parametrize(
+        "levels",
+        [(0, 1, 2), (0, 1, 2, 3, 4), (0, 1, 2, 99), (-1, 0, 1, 2),
+         (0, 2, 1, 3), (3, 2, 1, 0), (0.0, 1.0, 2.0, 3.0), ()],
+        ids=["short", "long", "above_L", "negative", "unsorted",
+             "descending", "float", "empty"],
+    )
+    def test_bad_row_refused(self, levels):
+        # L=6 at M=4, eps^2 1/2: a row must be 4 ascending integers in 0..5.
+        config = NetConfig.create(4, 0.5)
+        assert config.L == 6
+        message = r"not 4 ascending integers in 0\.\.5"
+        with pytest.raises(InvalidInputError, match=message):
+            StepPoint.from_ascending_levels(levels, config)
+
 
 class TestQuantize:
     def test_rounds_up_to_nearest_level(self):
@@ -246,6 +261,16 @@ class TestCovering:
         report = verify_covering(config, trials=200, rng_seed=1)
         assert report.prune_failures == report.trials
         assert not report.ok
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_refused(self, trials):
+        config = NetConfig.create(4, 0.5)
+        with pytest.raises(InvalidInputError, match=f"got {trials}"):
+            verify_covering(config, trials=trials, rng_seed=1)
+
+    def test_one_trial_runs(self):
+        report = verify_covering(NetConfig.create(4, 0.5), trials=1, rng_seed=1)
+        assert report.trials == 1 and report.ok
 
 
 class TestVolumetricBound:
