@@ -226,13 +226,11 @@ def sweep_all_K(
     their current batch, and the first exception is re-raised.  With
     ``progress`` a line goes to stderr each time the count of swept
     points passes a multiple of _PROGRESS_EVERY, and one final line gives
-    the total.  A net for another M, or with epsilon_sq outside (0, 1),
-    which certify refuses, is refused before the walk starts.
+    the total.  A net for another M is refused before the walk starts;
+    the net itself was checked when ``config`` was built (NetConfig).
     """
     if config.M != frame.M:
         raise InvalidInputError(f"net is for M={config.M}, frame has M={frame.M}")
-    if not 0.0 < config.epsilon_sq < 1.0:
-        raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {config.epsilon_sq}")
     threads = resolve_threads(threads)
     rows = chunk_rows(frame.N)
     chunks = _net_psi_chunks(config, rows)
@@ -307,11 +305,8 @@ def certify(table: BoundsTable) -> BoundsTable:
     c^2 >= 1 - eps^2).  So alpha_eps[K] <= <psi, S psi> = c^2 * alpha_K +
     s^2 * <v, S v>, and <v, S v> <= N/M caps the rest.  beta_upper follows
     the same way from the largest eigenvalue.  A negative alpha_lower
-    certifies nothing at that K.
+    certifies nothing at that K.  Every NetConfig's net covers at its eps.
     """
-    eps_sq = table.config.epsilon_sq
-    if not 0.0 < eps_sq < 1.0:
-        raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {eps_sq}")
     ends = _endpoints(table.config, table.N, table.alpha_eps, table.beta_eps)
     table.alpha_lower, table.beta_upper = ends
     return table
@@ -389,11 +384,11 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
 
 def read_bounds_csv(path) -> BoundsTable:
     """Read a CSV written by :func:`write_bounds_csv` into a certified
-    table.  The header must give the integers M, N, net_points_used >= 1
-    and L >= 2 and the floats epsilon_sq and delta in (0, 1); other keys
-    are ignored.  The K column must read 1..N in order, and every cell
-    must be finite.  The table names the net the header describes;
-    witness ranks are not in the CSV and read as 0, argmax_r too."""
+    table.  The header must give integers N and net_points_used >= 1, an
+    M, epsilon_sq and L that make a NetConfig, and that config's delta;
+    other keys are ignored.  The K column must read 1..N in order, and
+    every cell must be finite.  The table names the header's net; witness
+    ranks are not in the CSV and read as 0, argmax_r too."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first = fh.readline()
@@ -402,13 +397,12 @@ def read_bounds_csv(path) -> BoundsTable:
         if not first.startswith("# "):
             raise ValueError("missing JSON header line")
         meta = json.loads(first[2:])
-        for key, lo in (("M", 1), ("N", 1), ("L", 2), ("net_points_used", 1)):
-            if type(meta[key]) is not int or meta[key] < lo:
-                raise ValueError(f"{key} must be an integer >= {lo}, got {meta[key]!r}")
-        for key in ("epsilon_sq", "delta"):
-            if type(meta[key]) is not float or not 0 < meta[key] < 1:
-                raise ValueError(f"{key} must be a float in (0, 1), got {meta[key]!r}")
-        config = NetConfig(meta["M"], meta["epsilon_sq"], meta["L"], meta["delta"])
+        for key in ("N", "net_points_used"):
+            if type(meta[key]) is not int or meta[key] < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {meta[key]!r}")
+        config = NetConfig(meta["M"], meta["epsilon_sq"], meta["L"])
+        if meta["delta"] != config.delta:
+            raise ValueError(f"delta {meta['delta']!r} is not delta_for(M, L)")
         n = meta["N"]
         cols = (
             np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
 import sys
 import time
@@ -123,7 +124,7 @@ def _cmd_build_net(args) -> int:
         "cardinality_full": str(config.cardinality),
         "cardinality_pruned": pruned_cardinality(config),
         "volumetric_bound_log10": volumetric_bound_log(
-            config.M, config.epsilon
+            config.M, math.sqrt(config.epsilon_sq)
         )
         / math.log(10.0),
     }
@@ -147,7 +148,16 @@ def _peak_rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 
+def _require_writable(*paths) -> None:
+    """Refuse, before any work, an output path that is a directory or whose
+    parent directory is missing: the write at the end would fail anyway."""
+    for path in filter(None, paths):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise InvalidInputError(f"{path}: a directory, or its directory is missing")
+
+
 def _cmd_estimate(args) -> int:
+    _require_writable(args.output, args.report)
     t0 = time.perf_counter()
     frame = read_frame(args.frame)
     require_certifiable(frame)
@@ -210,6 +220,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _require_writable(args.output)
     frame = read_frame(args.frame)
     if args.check:
         table = read_bounds_csv(args.check)

@@ -58,13 +58,17 @@ def min_levels(M: int, epsilon_sq: float) -> int:
         raise InvalidInputError(f"M must be positive, got {M}")
     if not 0.0 < epsilon_sq < 1.0:
         raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {epsilon_sq}")
-    one_minus = 1.0 - epsilon_sq
     for L in range(2, LEVEL_SEARCH_CAP + 1):
-        if (L - 1) * one_minus**L <= ((L - 1) / L) ** L / M:
+        if _levels_cover(M, epsilon_sq, L):
             return L
     raise InvalidInputError(
         f"no admissible L <= {LEVEL_SEARCH_CAP} for M={M}, eps^2={epsilon_sq}"
     )
+
+
+def _levels_cover(M: int, epsilon_sq: float, L: int) -> bool:
+    """:func:`min_levels`' inequality at L; true from min_levels(M, eps^2) on."""
+    return (L - 1) * (1.0 - epsilon_sq) ** L <= ((L - 1) / L) ** L / M
 
 
 def delta_for(M: int, L: int) -> float:
@@ -72,14 +76,11 @@ def delta_for(M: int, L: int) -> float:
 
     Computed as exp(-ln(M(L-1))/(2L)) for cross-platform reproducibility.
     """
-    if M < 1 or L < 2:
-        raise InvalidInputError(f"need M >= 1 and L >= 2, got M={M}, L={L}")
-    prod = M * (L - 1)
-    if prod <= 1:
+    if M < 1 or L < 2 or M * (L - 1) < 2:
         raise InvalidInputError(
-            f"M(L-1) = {prod} gives delta = 1; the net degenerates"
+            f"need M >= 1, L >= 2 and M(L-1) >= 2 (else delta = 1), got M={M}, L={L}"
         )
-    return math.exp(-math.log(prod) / (2 * L))
+    return math.exp(-math.log(M * (L - 1)) / (2 * L))
 
 
 def net_cardinality(M: int, L: int) -> int:
@@ -91,25 +92,34 @@ def net_cardinality(M: int, L: int) -> int:
 
 @dataclass(frozen=True)
 class NetConfig:
-    """Step-function net parameters.
-
-    ``level_powers`` caches delta^l for l = 0..L-1 so the enumeration hot
-    loop never calls transcendentals.
+    """Step-function net parameters, valid by construction: InvalidInputError
+    unless M >= 1 and L >= 2 are ints, 0 < epsilon_sq < 1, delta_for(M, L)
+    < 1 and L passes :func:`min_levels`' inequality, so the net covers the
+    sector at radius eps.  ``level_powers`` caches delta^l for l < L so the
+    enumeration hot loop never calls transcendentals.
     """
 
     M: int
     epsilon_sq: float
     L: int
-    delta: float
+
+    def __post_init__(self):
+        M, eps_sq, L = self.M, self.epsilon_sq, self.L
+        if type(M) is not int or type(L) is not int or M < 1 or L < 2:
+            raise InvalidInputError(f"need integers M >= 1 and L >= 2, got {self}")
+        if not (isinstance(eps_sq, (int, float)) and 0 < eps_sq < 1):
+            raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {eps_sq!r}")
+        delta_for(M, L)  # refuses M(L-1) = 1, where delta would be 1
+        if not _levels_cover(M, eps_sq, L):
+            raise InvalidInputError(f"{self}: L is below min_levels(M, epsilon_sq)")
 
     @classmethod
     def create(cls, M: int, epsilon_sq: float) -> "NetConfig":
-        L = min_levels(M, epsilon_sq)  # validates M and epsilon_sq
-        return cls(M=M, epsilon_sq=epsilon_sq, L=L, delta=delta_for(M, L))
+        return cls(M, epsilon_sq, min_levels(M, epsilon_sq))
 
-    @property
-    def epsilon(self) -> float:
-        return math.sqrt(self.epsilon_sq)
+    @cached_property
+    def delta(self) -> float:
+        return delta_for(self.M, self.L)
 
     @cached_property
     def level_powers(self) -> np.ndarray:

@@ -482,16 +482,18 @@ class TestSweep:
     def test_config_refused_before_the_walk(
         self, frame_4_12, monkeypatch, change, message
     ):
-        # A net of another M would fail in a worker's matmul, and an
-        # epsilon_sq outside (0, 1) only at certification after the whole
-        # sweep: both are refused before the net is walked.
+        # A net of another M would fail in a worker's matmul, so the sweep
+        # refuses it before the net is walked.  An epsilon_sq outside
+        # (0, 1) never reaches the sweep: no NetConfig holds one.
         def walk(*args):
             raise AssertionError("the net was walked")
 
         monkeypatch.setattr(bounds, "_net_psi_chunks", walk)
-        config = dataclasses.replace(NetConfig.create(4, 0.5), **change)
         with pytest.raises(InvalidInputError, match=message):
-            sweep_all_K(frame_4_12, config, threads=2)
+            if "M" in change:
+                sweep_all_K(frame_4_12, NetConfig.create(5, 0.5), threads=2)
+            else:
+                NetConfig(4, change["epsilon_sq"], 6)
 
     def test_non_tight_frame_still_swept(self):
         # The library sweep does not check invariance or tightness: a
@@ -652,6 +654,26 @@ class TestDualityM8Tail(DualityChecks):
         return 0.5
 
 
+class TestAdmissibleLevels:
+    """Every L the level inequality admits gives a covering net, not only
+    min_levels': the nets of L = min_levels .. min_levels + 5 certify, the
+    oracle's exact bounds inside every interval at every K."""
+
+    @pytest.mark.parametrize("extra", range(6))
+    @pytest.mark.parametrize("M, k, eps_sq", [(4, 2, 0.5), (5, 2, 0.25)])
+    def test_sandwich(self, oracle_5_20, M, k, eps_sq, extra):
+        if M == 5:
+            frame, results = oracle_5_20
+        else:
+            frame = orbit_signed_permutations(GeneratorSpec(M, k))
+            results = exact_bounds_all_K(frame)
+        L = epsnet.min_levels(M, eps_sq) + extra
+        table = sweep_all_K(frame, NetConfig(M, eps_sq, L))
+        assert table.config.delta == epsnet.delta_for(M, L)
+        require_sandwich(table, {r.K: (r.alpha, r.beta) for r in results})
+        assert len(results) == frame.N
+
+
 class TestRequireSandwich:
     """The one sandwich check, on the 5x20 frame against its eps^2 1/4
     table at every K."""
@@ -785,13 +807,13 @@ class TestCsv:
         cells = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e300])
         N, M, ranks = 5, 2, np.zeros(5, int)
         table = bounds.BoundsTable(
-            NetConfig(M, 0.25, 3, 0.5), N, cells, cells[::-1].copy(), ranks, 7,
+            NetConfig(M, 0.25, 16), N, cells, cells[::-1].copy(), ranks, 7,
             alpha_lower=-cells, beta_upper=3 * cells,
         )
         path = tmp_path / "bounds.csv"
         write_bounds_csv(table, path)
-        header = {"M": 2, "N": 5, "epsilon_sq": 0.25, "L": 3, "delta": 0.5,
-                  "net_points_used": 7}
+        header = {"M": 2, "N": 5, "epsilon_sq": 0.25, "L": 16,
+                  "delta": 0.8991661742300971, "net_points_used": 7}
         nm = N / M
         rows = zip(range(1, N + 1), table.alpha_eps, table.beta_eps,
                    table.alpha_lower, table.beta_upper)

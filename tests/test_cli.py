@@ -440,6 +440,7 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(path) in err
         assert "Traceback" not in err
+        return err
 
     def test_non_numeric_frame_entry(self, frame_file, tmp_path, capsys):
         lines = frame_file.read_text().splitlines()
@@ -492,6 +493,8 @@ class TestMalformedInput:
             (0, _header(delta="x")),
             (0, _header(net_points_used=None)[:-1] + ', "net_points_used": null}'),
             (0, _header(net_points_used=-3)),
+            (0, _header(L=2)),
+            (0, _header(delta=0.5)),
         ],
         ids=[
             "truncated_header", "header_without_N", "non_numeric_cell",
@@ -500,6 +503,7 @@ class TestMalformedInput:
             "header_without_delta", "header_without_net_points_used",
             "text_epsilon_sq", "float_L", "text_delta",
             "null_net_points_used", "negative_net_points_used",
+            "L_below_min_levels", "delta_not_of_L",
         ],
     )
     def test_malformed_bounds_csv(
@@ -511,6 +515,24 @@ class TestMalformedInput:
         argv = ["report", "--estimate", str(estimate_csv),
                 "-o", str(tmp_path / "merged.csv")]
         self.assert_refused(argv, estimate_csv, capsys)
+
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    def test_net_that_does_not_cover_refused(
+        self, frame_file, estimate_csv, tmp_path, capsys, command
+    ):
+        # At eps^2 0.05 two levels do not cover (min_levels gives 144): a
+        # header naming that net would certify bounds the frame breaks.
+        lines = estimate_csv.read_text().splitlines()
+        lines[0] = _header(epsilon_sq=0.05, L=2, delta=nerfcert.delta_for(4, 2))
+        estimate_csv.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "oracle": ["oracle", "-f", str(frame_file), "--check",
+                       str(estimate_csv), "-o", out],
+            "report": ["report", "--estimate", str(estimate_csv), "-o", out],
+        }[command]
+        err = self.assert_refused(argv, estimate_csv, capsys)
+        assert "L is below min_levels" in err
 
     @pytest.mark.parametrize(
         "row", ["1,nan,0,-1.5,0,-8,3", "1,0,-inf,-1.5,0,-8,3"],
@@ -619,6 +641,36 @@ class TestMalformedInput:
         argv = ["report", "--estimate", str(estimate_csv), "--oracle",
                 str(oracle), "-o", str(tmp_path / "merged.csv")]
         self.assert_refused(argv, oracle, capsys)
+
+
+class TestOutputPaths:
+    """An output path that cannot be written is refused with exit 2 before
+    the frame is read, so no sweep or enumeration runs, and no file is
+    made."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate", "--eps-sq", "0.5", "-o", "OUT"],
+         ["estimate", "--eps-sq", "0.5", "-o", "x.csv", "--report", "OUT"],
+         ["oracle", "-o", "OUT"]],
+        ids=["estimate_output", "estimate_report", "oracle_output"],
+    )
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_refused_before_the_frame_is_read(
+        self, frame_file, tmp_path, capsys, monkeypatch, argv, where
+    ):
+        def read_frame(path):
+            raise AssertionError("the frame was read")
+
+        monkeypatch.setattr(cli, "read_frame", read_frame)
+        monkeypatch.chdir(tmp_path)
+        out = {"missing_dir": "missing/out.csv", "directory": str(tmp_path)}[where]
+        before = sorted(tmp_path.rglob("*"))
+        argv = [out if a == "OUT" else a for a in argv] + ["-f", str(frame_file)]
+        assert main(argv) == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and out in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestReport:

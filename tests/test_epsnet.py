@@ -1,5 +1,6 @@
 """Quantization levels, step-point enumeration, pruning, and covering."""
 
+import dataclasses
 import hashlib
 import math
 from itertools import combinations_with_replacement
@@ -78,6 +79,47 @@ class TestDelta:
     def test_degenerate_product_rejected(self):
         with pytest.raises(InvalidInputError):
             delta_for(1, 2)
+
+
+class TestNetConfig:
+    """A NetConfig is valid by construction: the one check on a net."""
+
+    def test_three_fields_and_a_derived_delta(self):
+        config = NetConfig.create(4, 0.5)
+        assert [f.name for f in dataclasses.fields(NetConfig)] == [
+            "M", "epsilon_sq", "L"]
+        assert config == NetConfig(4, 0.5, 6)
+        assert config.delta == delta_for(4, 6)
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 6])
+    def test_too_few_levels_refused(self, L):
+        # These nets do not cover at eps^2 0.05 (min_levels gives 144):
+        # swept, they "certified" beta_upper[1] of 0.61-0.94 on 4x12,
+        # whose exact beta_1 is 1.
+        with pytest.raises(InvalidInputError, match="below min_levels"):
+            NetConfig(4, 0.05, L)
+
+    @pytest.mark.parametrize(
+        "M, eps_sq, L",
+        [(1, 0.5, 2), (0, 0.5, 6), (4.0, 0.5, 6), (True, 0.5, 6),
+         (4, 0.5, 6.0), (4, 0.5, True), (4, 0.0, 6), (4, 1.0, 6),
+         (4, -0.5, 6), (4, float("nan"), 6), (4, "0.5", 6)],
+        ids=["M1_delta_1", "M0", "float_M", "bool_M", "float_L", "bool_L",
+             "eps_0", "eps_1", "eps_negative", "eps_nan", "eps_text"],
+    )
+    def test_bad_fields_refused(self, M, eps_sq, L):
+        with pytest.raises(InvalidInputError):
+            NetConfig(M, eps_sq, L)
+
+    @pytest.mark.parametrize("M", [2, 3, 4, 6, 10])
+    @pytest.mark.parametrize("eps_sq", [0.5, 0.25, 0.05])
+    def test_admissible_levels_are_a_ray(self, M, eps_sq):
+        L = min_levels(M, eps_sq)
+        if L > 2:
+            with pytest.raises(InvalidInputError):
+                NetConfig(M, eps_sq, L - 1)
+        for extra in range(50):
+            assert NetConfig(M, eps_sq, L + extra).L == L + extra
 
 
 class TestCardinality:
