@@ -660,18 +660,17 @@ class TestAdmissibleLevels:
     oracle's exact bounds inside every interval at every K."""
 
     @pytest.mark.parametrize("extra", range(6))
-    @pytest.mark.parametrize("M, k, eps_sq", [(4, 2, 0.5), (5, 2, 0.25)])
-    def test_sandwich(self, oracle_5_20, M, k, eps_sq, extra):
+    @pytest.mark.parametrize("M, eps_sq", [(4, 0.5), (5, 0.25)])
+    def test_sandwich(self, frame_4_12, oracle_5_20, M, eps_sq, extra):
         if M == 5:
             frame, results = oracle_5_20
         else:
-            frame = orbit_signed_permutations(GeneratorSpec(M, k))
-            results = exact_bounds_all_K(frame)
+            frame, results = frame_4_12, exact_bounds_all_K(frame_4_12)
+        assert [r.K for r in results] == list(range(1, frame.N + 1))
         L = epsnet.min_levels(M, eps_sq) + extra
         table = sweep_all_K(frame, NetConfig(M, eps_sq, L))
         assert table.config.delta == epsnet.delta_for(M, L)
         require_sandwich(table, {r.K: (r.alpha, r.beta) for r in results})
-        assert len(results) == frame.N
 
 
 class TestRequireSandwich:
