@@ -2,9 +2,10 @@
 
 Subcommands: gen-frame, build-net, estimate, oracle, report.  Exit codes:
 0 success, 2 usage or I/O failure (an input file that is not UTF-8 or does
-not parse, or an ``estimate`` frame that is not signed-permutation
-invariant, unit norm and tight), 3 infeasible budget, 4 internal invariant
-violation.  Progress goes to stderr only; piped CSV stays clean.
+not parse, an ``estimate`` frame that is not signed-permutation invariant,
+unit norm and tight, or an output path refused by ``main`` before any work),
+3 infeasible budget, 4 internal invariant violation.  Progress goes to
+stderr only; piped CSV stays clean.
 """
 
 from __future__ import annotations
@@ -148,16 +149,24 @@ def _peak_rss_mb() -> float:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
 
 
-def _require_writable(*paths) -> None:
-    """Refuse, before any work, an output path that is a directory or whose
-    parent directory is missing: the write at the end would fail anyway."""
-    for path in filter(None, paths):
+def _require_writable(args) -> None:
+    """Refuse, before any work, each output a parsed command line names that
+    is a directory or lies in a missing directory (the write would fail), or
+    that resolves to one of the command's inputs or its other output (the
+    write would destroy that file)."""
+    given = vars(args)
+    inputs = filter(None, map(given.get, ("frame", "check", "estimate", "oracle")))
+    named = {os.path.realpath(path): path for path in inputs}
+    for path in filter(None, map(given.get, ("output", "report"))):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise InvalidInputError(f"{path}: a directory, or its directory is missing")
+        real = os.path.realpath(path)
+        if real in named:
+            raise InvalidInputError(f"{path}: the same file as {named[real]}")
+        named[real] = path
 
 
 def _cmd_estimate(args) -> int:
-    _require_writable(args.output, args.report)
     t0 = time.perf_counter()
     frame = read_frame(args.frame)
     require_certifiable(frame)
@@ -220,7 +229,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _require_writable(args.output)
     frame = read_frame(args.frame)
     if args.check:
         table = read_bounds_csv(args.check)
@@ -267,6 +275,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _require_writable(args)
         return _COMMANDS[args.command](args)
     except (NerfCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

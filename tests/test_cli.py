@@ -1,5 +1,6 @@
 """End-to-end checks of the command line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -643,34 +644,112 @@ class TestMalformedInput:
         self.assert_refused(argv, oracle, capsys)
 
 
+def _subcommands():
+    """The parser of each subcommand, by name."""
+    sub, = (a for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _output_actions():
+    """(command, dest) of every output option of every subcommand."""
+    return [(name, action.dest) for name, p in _subcommands().items()
+            for action in p._actions if action.dest in ("output", "report")]
+
+
 class TestOutputPaths:
-    """An output path that cannot be written is refused with exit 2 before
-    the frame is read, so no sweep or enumeration runs, and no file is
-    made."""
+    """Every output path a command names is checked in ``main`` before the
+    command starts: one that cannot be written, or that is one of the
+    command's inputs or its other output, is refused with exit 2, so no
+    work runs and no file is made or overwritten."""
 
     @pytest.mark.parametrize(
-        "argv",
-        [["estimate", "--eps-sq", "0.5", "-o", "OUT"],
-         ["estimate", "--eps-sq", "0.5", "-o", "x.csv", "--report", "OUT"],
-         ["oracle", "-o", "OUT"]],
-        ids=["estimate_output", "estimate_report", "oracle_output"],
+        "detector, argv",
+        [("read_frame",
+          ["estimate", "-f", "FRAME", "--eps-sq", "0.5", "-o", "OUT"]),
+         ("read_frame",
+          ["estimate", "-f", "FRAME", "--eps-sq", "0.5", "-o", "x.csv",
+           "--report", "OUT"]),
+         ("read_frame", ["oracle", "-f", "FRAME", "-o", "OUT"]),
+         ("orbit_signed_permutations",
+          ["gen-frame", "-M", "4", "-k", "2", "-o", "OUT"]),
+         ("pruned_cardinality",
+          ["build-net", "-M", "10", "--eps-sq", "0.25", "-o", "OUT"]),
+         ("read_bounds_csv", ["report", "--estimate", "FRAME", "-o", "OUT"])],
+        ids=["estimate_output", "estimate_report", "oracle_output",
+             "gen_frame_output", "build_net_output", "report_output"],
     )
     @pytest.mark.parametrize("where", ["missing_dir", "directory"])
     def test_refused_before_the_frame_is_read(
-        self, frame_file, tmp_path, capsys, monkeypatch, argv, where
+        self, frame_file, tmp_path, capsys, monkeypatch, detector, argv, where
     ):
-        def read_frame(path):
-            raise AssertionError("the frame was read")
+        def work(*args, **kwargs):
+            raise AssertionError(f"{detector} was called")
 
-        monkeypatch.setattr(cli, "read_frame", read_frame)
+        monkeypatch.setattr(cli, detector, work)
         monkeypatch.chdir(tmp_path)
         out = {"missing_dir": "missing/out.csv", "directory": str(tmp_path)}[where]
         before = sorted(tmp_path.rglob("*"))
-        argv = [out if a == "OUT" else a for a in argv] + ["-f", str(frame_file)]
-        assert main(argv) == EXIT_USAGE_IO
+        names = {"OUT": out, "FRAME": str(frame_file)}
+        assert main([names.get(a, a) for a in argv]) == EXIT_USAGE_IO
         err = capsys.readouterr().err
         assert err.startswith("error:") and out in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "command, dest",
+        [pytest.param(c, d, id=f"{c}-{d}") for c, d in _output_actions()],
+    )
+    def test_every_output_is_checked(
+        self, frame_file, tmp_path, capsys, monkeypatch, command, dest
+    ):
+        """A missing directory is refused for each output option the parser
+        has, before the command's function is called, so no command can
+        skip the check."""
+        def work(args):
+            raise AssertionError(f"{command} started")
+
+        monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, work))
+        monkeypatch.chdir(tmp_path)
+        argv = [command]
+        for action in _subcommands()[command]._actions:
+            if action.dest == dest:
+                argv += [action.option_strings[0], "missing/out"]
+            elif action.required:
+                value = {int: "4", float: "0.5"}.get(action.type, str(frame_file))
+                if action.dest in ("output", "report"):
+                    value = f"{action.dest}.out"
+                argv += [action.option_strings[0], value]
+        assert main(argv) == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing/out" in err
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [(["estimate", "-f", "frame.txt", "--eps-sq", "0.5", "-o", "frame.txt"],
+          "frame.txt"),
+         (["estimate", "-f", "frame.txt", "--eps-sq", "0.5", "-o", "b.csv",
+           "--report", "b.csv"], "b.csv"),
+         (["oracle", "-f", "frame.txt", "--check", "b.csv", "-o", "b.csv"],
+          "b.csv"),
+         (["oracle", "-f", "frame.txt", "-o", "frame.txt"], "frame.txt"),
+         (["report", "--estimate", "b.csv", "-o", "./b.csv"], "./b.csv")],
+        ids=["estimate_frame", "estimate_report", "oracle_check",
+             "oracle_frame", "report_estimate"],
+    )
+    def test_output_naming_an_input_refused(
+        self, frame_file, tmp_path, capsys, monkeypatch, argv, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["estimate", "-f", "frame.txt", "--eps-sq", "0.5",
+                     "-o", "b.csv"]) == EXIT_OK
+        capsys.readouterr()
+        target = tmp_path / Path(path).name
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert main(argv) == EXIT_USAGE_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and path in err
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestReport:
