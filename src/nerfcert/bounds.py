@@ -34,6 +34,7 @@ _SORT_BYTES = 256 * 2**10  # per worker's sort scratch, sized for L2
 _GATHER_BYTES = 64 * 2**10
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column no batch has set
 _PROGRESS_EVERY = 100_000  # net points between progress lines
+_CSV_COLUMNS = "K,alpha_eps,beta_eps,alpha_lower,beta_upper,trivial_lower,trivial_upper"
 
 __all__ = [
     "BoundsTable",
@@ -51,16 +52,26 @@ __all__ = [
 @dataclass
 class BoundsTable:
     """Per-K estimates, witnesses and certified endpoints, indexed K = 1..N
-    at position K-1, for the frame's N columns and the net ``config``."""
+    at position K-1, for the frame's N columns and the net ``config``.
+    N, beta_eps and argmax_r are derived, the last two by duality."""
 
     config: NetConfig
-    N: int
     alpha_eps: np.ndarray
-    beta_eps: np.ndarray
     argmin_r: np.ndarray  # net point rank attaining alpha_eps[K]
     net_points_used: int
     alpha_lower: np.ndarray
     beta_upper: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return len(self.alpha_eps)
+
+    @property
+    def beta_eps(self) -> np.ndarray:
+        """N/M - alpha_eps[N-K], and N/M exactly at K = N."""
+        beta = np.full(self.N, self.N / self.config.M)
+        beta[:-1] -= self.alpha_eps[-2::-1]
+        return beta
 
     @property
     def argmax_r(self) -> np.ndarray:
@@ -199,8 +210,8 @@ def sweep_all_K(
     threads: int = 1,
     progress: bool = False,
 ) -> BoundsTable:
-    """One pass over the net filling alpha_eps, beta_eps by duality, and
-    the certified endpoints by the paper's formulas (:func:`certify`).
+    """One pass over the net filling alpha_eps, whose table derives
+    beta_eps by duality, and the paper's endpoints (:func:`certify`).
 
     The caller is responsible for the frame being signed-permutation
     invariant and unit-norm (frames.require_certifiable checks); only then
@@ -286,15 +297,14 @@ def sweep_all_K(
         raise InvariantViolationError("net is empty; nothing to sweep")
     if np.any(argmin == _NO_RANK):
         raise InvariantViolationError("sweep left a bound with no witness")
-    beta = np.full(frame.N, frame.N / frame.M)
-    beta[:-1] -= alpha[-2::-1]
-    lower, upper = _endpoints(config, frame.N, alpha, beta)
-    return BoundsTable(config, frame.N, alpha, beta, argmin, done, lower, upper)
+    # The endpoints are left to certify, which reads beta_eps off the table.
+    return certify(BoundsTable(config, alpha, argmin, done, None, None))
 
 
 def certify(table: BoundsTable) -> BoundsTable:
-    """Recompute the certified endpoints that a swept table carries, by
-    the paper's formulas for a unit norm tight frame (its tables use them):
+    """Set the certified endpoints, as every table sweep_all_K returns has
+    them, by the paper's formulas for a unit norm tight frame (its tables
+    use them):
 
         alpha_lower[K] = (alpha_eps[K] - eps^2 * N/M) / (1 - eps^2)
         beta_upper[K]  = min(N/M, beta_eps[K] / (1 - eps^2))
@@ -307,17 +317,11 @@ def certify(table: BoundsTable) -> BoundsTable:
     the same way from the largest eigenvalue.  A negative alpha_lower
     certifies nothing at that K.  Every NetConfig's net covers at its eps.
     """
-    ends = _endpoints(table.config, table.N, table.alpha_eps, table.beta_eps)
-    table.alpha_lower, table.beta_upper = ends
-    return table
-
-
-def _endpoints(config: NetConfig, N: int, alpha_eps, beta_eps) -> tuple:
-    """(alpha_lower, beta_upper) by the formulas of :func:`certify`."""
-    eps_sq, redundancy = config.epsilon_sq, N / config.M
+    eps_sq, redundancy = table.config.epsilon_sq, table.N / table.config.M
     scale = 1.0 / (1.0 - eps_sq)
-    lower = (alpha_eps - eps_sq * redundancy) * scale
-    return lower, np.minimum(redundancy, beta_eps * scale)
+    table.alpha_lower = (table.alpha_eps - eps_sq * redundancy) * scale
+    table.beta_upper = np.minimum(redundancy, table.beta_eps * scale)
+    return table
 
 
 def min_spanning_K(table: BoundsTable) -> Optional[int]:
@@ -342,11 +346,14 @@ def condition_number_bound(table: BoundsTable, K: int) -> Optional[float]:
 def require_sandwich(table: BoundsTable, exact: dict) -> None:
     """Raise InvariantViolationError at the first K whose exact bounds
     ``exact[K] = (alpha_K, beta_K)`` leave [alpha_lower, alpha_eps] or
-    [beta_eps, beta_upper] by more than 1e-9, the eigensolver's noise."""
-    tol = 1e-9
+    [beta_eps, beta_upper] by more than 1e-9, the eigensolver's noise.  A K
+    outside 1..N is refused with InvalidInputError."""
+    tol, beta_eps = 1e-9, table.beta_eps
     for k, (a, b) in sorted(exact.items()):
+        if not 1 <= k <= table.N:
+            raise InvalidInputError(f"K={k} out of range 1..{table.N}")
         lo, ae = table.alpha_lower[k - 1], table.alpha_eps[k - 1]
-        be, up = table.beta_eps[k - 1], table.beta_upper[k - 1]
+        be, up = beta_eps[k - 1], table.beta_upper[k - 1]
         if not (lo <= a + tol and a <= ae + tol and be <= b + tol and b <= up + tol):
             raise InvariantViolationError(
                 f"sandwich violated at K={k}: alpha in [{lo}, {ae}] vs {a}; "
@@ -354,31 +361,33 @@ def require_sandwich(table: BoundsTable, exact: dict) -> None:
             )
 
 
+def _csv_body(table: BoundsTable) -> np.ndarray:
+    """The N x 7 cells of :data:`_CSV_COLUMNS` that the writer writes."""
+    N, nm = table.N, table.N / table.config.M
+    k = np.arange(1, N + 1)
+    return np.column_stack((k, table.alpha_eps, table.beta_eps, table.alpha_lower,
+                            table.beta_upper, k - (N - nm), np.full(N, nm)))
+
+
 def write_bounds_csv(table: BoundsTable, path) -> None:
     """Certified bounds CSV: one JSON header line with exactly the keys
-    :func:`read_bounds_csv` requires, then one row per K.
+    :func:`read_bounds_csv` requires, the column names, then one row per K.
 
     Timing is deliberately left to the JSON run report so identical
     configurations produce byte-identical CSVs.
     """
-    config, N = table.config, table.N
+    config = table.config
     header = {
         "M": config.M,
-        "N": N,
+        "N": table.N,
         "epsilon_sq": config.epsilon_sq,
         "L": config.L,
         "delta": config.delta,
         "net_points_used": table.net_points_used,
     }
-    nm = N / config.M
-    k = np.arange(1, N + 1)
     np.savetxt(
-        path,
-        np.column_stack((k, table.alpha_eps, table.beta_eps, table.alpha_lower,
-                         table.beta_upper, k - (N - nm), np.full(N, nm))),
-        fmt="%.17g", delimiter=",", comments="",
-        header="# " + json.dumps(header) + "\nK,alpha_eps,beta_eps,"
-        "alpha_lower,beta_upper,trivial_lower,trivial_upper",
+        path, _csv_body(table), fmt="%.17g", delimiter=",", comments="",
+        header="# " + json.dumps(header) + "\n" + _CSV_COLUMNS,
     )
 
 
@@ -386,13 +395,15 @@ def read_bounds_csv(path) -> BoundsTable:
     """Read a CSV written by :func:`write_bounds_csv` into a certified
     table.  The header must give integers N and net_points_used >= 1, an
     M, epsilon_sq and L that make a NetConfig, and that config's delta;
-    other keys are ignored.  The K column must read 1..N in order, and
-    every cell must be finite.  The table names the header's net; witness
-    ranks are not in the CSV and read as 0, argmax_r too."""
+    other keys are ignored.  The table is that config's, with the file's
+    alpha_eps, alpha_lower and beta_upper columns; every cell must be
+    finite, and the column names and every row must be those the writer
+    writes for that table, so a K, beta_eps or trivial cell of its own is
+    refused.  Witness ranks are not in the CSV and read as 0, argmax_r
+    too."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
-            first = fh.readline()
-            fh.readline()  # column header
+            first, columns = fh.readline(), fh.readline().rstrip("\n")
             rows = [line for line in fh if line.strip()]
         if not first.startswith("# "):
             raise ValueError("missing JSON header line")
@@ -403,6 +414,8 @@ def read_bounds_csv(path) -> BoundsTable:
         config = NetConfig(meta["M"], meta["epsilon_sq"], meta["L"])
         if meta["delta"] != config.delta:
             raise ValueError(f"delta {meta['delta']!r} is not delta_for(M, L)")
+        if columns != _CSV_COLUMNS:
+            raise ValueError(f"column names {columns!r} are not {_CSV_COLUMNS!r}")
         n = meta["N"]
         cols = (
             np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
@@ -417,12 +430,16 @@ def read_bounds_csv(path) -> BoundsTable:
         raise InvalidInputError(
             f"{path}: expected {n} rows of 7 values, found shape {cols.shape}"
         )
-    if not np.array_equal(cols[:, 0], np.arange(1, n + 1)):
-        raise InvalidInputError(f"{path}: K column is not 1..{n} in order")
     bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
     if bad.size:
         raise InvalidInputError(f"{path}: non-finite cell at K={bad[0] + 1}")
-    return BoundsTable(
-        config, n, cols[:, 1], cols[:, 2], np.zeros(n, dtype=np.int64),
-        meta["net_points_used"], alpha_lower=cols[:, 3], beta_upper=cols[:, 4],
+    table = BoundsTable(
+        config, cols[:, 1], np.zeros(n, dtype=np.int64), meta["net_points_used"],
+        alpha_lower=cols[:, 3], beta_upper=cols[:, 4],
     )
+    bad = np.flatnonzero((cols != _csv_body(table)).any(axis=1))
+    if bad.size:
+        raise InvalidInputError(
+            f"{path}: row {bad[0] + 1} of the body is not the row its writer writes"
+        )
+    return table

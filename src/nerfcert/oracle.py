@@ -149,7 +149,8 @@ def write_oracle_csv(results: List[OracleResult], path, M: int) -> None:
 def read_oracle_csv(path, M: int, N: int) -> dict:
     """Exact (alpha, beta) by K from a :func:`write_oracle_csv` file of an
     M x N frame.  Refuses another header, a row of another width or of
-    another M, a K outside 1..N or repeated, and a bound that is not
+    another M, a K outside 1..N or repeated, a subset count other than
+    C(N, K), which a frame of another N gives, and a bound that is not
     finite."""
     exact = {}
     try:
@@ -165,6 +166,8 @@ def read_oracle_csv(path, M: int, N: int) -> dict:
                 raise ValueError(f"bounds of an M={cells[6]} frame, not M={M}")
             if not 1 <= K <= N or K in exact:
                 raise ValueError(f"K={K} repeated or outside 1..{N}")
+            if int(cells[5]) != math.comb(N, K):  # C(n, K) grows with n
+                raise ValueError(f"K={K} examined {cells[5]} subsets, not C({N}, {K})")
             exact[K] = (float(cells[1]), float(cells[2]))
             if not all(map(math.isfinite, exact[K])):
                 raise ValueError(f"non-finite bound at K={K}")

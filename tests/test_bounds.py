@@ -698,17 +698,43 @@ class TestRequireSandwich:
     )
     def test_slack_is_1e_9(self, table, exact, K, endpoint, side, sign):
         # One endpoint moved past the exact value at one K: 5e-10 lies in
-        # the slack, 2e-9 does not.
+        # the slack, 2e-9 does not.  beta_eps[K] is N/M - alpha_eps[N-K], so
+        # it moves through alpha_eps[N-K], and alpha_eps[K] moves
+        # beta_eps[N-K] with it: by the exact bounds' own duality the dual
+        # endpoint leaves its interval too, and the violation may be
+        # reported at N-K.  beta_eps[N] is N/M whatever alpha_eps holds, so
+        # there the exact beta_N is moved below it instead.
+        n, nm = table.N, table.N / table.config.M
         for shift, passes in ((5e-10, True), (2e-9, False)):
-            moved = dataclasses.replace(
-                table, **{endpoint: getattr(table, endpoint).copy()}
-            )
-            getattr(moved, endpoint)[K - 1] = exact[K][side] + sign * shift
-            if passes:
-                require_sandwich(moved, exact)
+            target = exact[K][side] + sign * shift
+            moved, moved_exact = table, exact
+            if endpoint == "beta_eps" and K == n:
+                moved_exact = {**exact, K: (exact[K][0], nm - sign * shift)}
             else:
-                with pytest.raises(InvariantViolationError, match=f"K={K}:"):
-                    require_sandwich(moved, exact)
+                field, index = endpoint, K - 1
+                if endpoint == "beta_eps":
+                    field, index, target = "alpha_eps", n - K - 1, nm - target
+                moved = dataclasses.replace(
+                    table, **{field: getattr(table, field).copy()}
+                )
+                getattr(moved, field)[index] = target
+                assert getattr(moved, endpoint)[K - 1] == pytest.approx(
+                    exact[K][side] + sign * shift, abs=1e-14
+                )
+            if passes:
+                require_sandwich(moved, moved_exact)
+            else:
+                with pytest.raises(
+                    InvariantViolationError, match=f"at K=({K}|{n - K}):"
+                ):
+                    require_sandwich(moved, moved_exact)
+
+    @pytest.mark.parametrize("K", [0, 21])
+    def test_K_outside_1_to_N_refused(self, table, exact, K):
+        # K=0 would read row N through index -1, and K=N+1 would index
+        # past the end.
+        with pytest.raises(InvalidInputError, match=f"K={K} out of range 1..20"):
+            require_sandwich(table, {K: exact[20]})
 
 
 class TestDerivedQuantities:
@@ -795,18 +821,21 @@ class TestCsv:
         assert pruned_cardinality(back.config) == back.net_points_used
 
     def test_each_fact_is_stored_once(self):
-        # The net's parameters live in the table's NetConfig, and argmax_r
-        # is derived from argmin_r by duality.
+        # The net's parameters live in the table's NetConfig, N is the
+        # arrays' length, and beta_eps and argmax_r are derived from
+        # alpha_eps and argmin_r by duality.
         names = [f.name for f in dataclasses.fields(bounds.BoundsTable)]
-        assert len(names) == 8
-        assert not {"M", "epsilon_sq", "L", "delta", "argmax_r"} & set(names)
+        assert names == ["config", "alpha_eps", "argmin_r", "net_points_used",
+                         "alpha_lower", "beta_upper"]
+        for name in ("N", "beta_eps", "argmax_r"):
+            assert isinstance(getattr(bounds.BoundsTable, name), property)
 
     def test_bytes_are_17_digit_rows(self, tmp_path):
         # A hand-built table, no sweep: the format alone sets the bytes.
         cells = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e300])
         N, M, ranks = 5, 2, np.zeros(5, int)
         table = bounds.BoundsTable(
-            NetConfig(M, 0.25, 16), N, cells, cells[::-1].copy(), ranks, 7,
+            NetConfig(M, 0.25, 16), cells, ranks, 7,
             alpha_lower=-cells, beta_upper=3 * cells,
         )
         path = tmp_path / "bounds.csv"

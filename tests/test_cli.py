@@ -41,6 +41,15 @@ def _header(**edits):
     return "# " + json.dumps({k: v for k, v in meta.items() if v is not None})
 
 
+def _moved(column, by):
+    """An edit of a bounds-CSV row: the cell in ``column`` plus ``by``."""
+    def edit(row):
+        cells = row.split(",")
+        cells[column] = repr(float(cells[column]) + by)
+        return ",".join(cells)
+    return edit
+
+
 @pytest.fixture()
 def frame_file(tmp_path):
     path = tmp_path / "frame.txt"
@@ -496,6 +505,11 @@ class TestMalformedInput:
             (0, _header(net_points_used=-3)),
             (0, _header(L=2)),
             (0, _header(delta=0.5)),
+            (1, "K,beta_eps,alpha_eps,alpha_lower,beta_upper,trivial_lower,"
+                "trivial_upper"),
+            (1, "bounds of the 4x12 orbit"),
+            (2, _moved(2, 0.5)),
+            (5, _moved(5, 0.5)),
         ],
         ids=[
             "truncated_header", "header_without_N", "non_numeric_cell",
@@ -504,14 +518,19 @@ class TestMalformedInput:
             "header_without_delta", "header_without_net_points_used",
             "text_epsilon_sq", "float_L", "text_delta",
             "null_net_points_used", "negative_net_points_used",
-            "L_below_min_levels", "delta_not_of_L",
+            "L_below_min_levels", "delta_not_of_L", "columns_reordered",
+            "columns_replaced_by_text", "beta_eps_cell_moved",
+            "trivial_lower_cell_moved",
         ],
     )
     def test_malformed_bounds_csv(
         self, estimate_csv, tmp_path, capsys, line, text
     ):
+        # A line is replaced by ``text``, or edited by it.  The last four
+        # cases parse: they are refused because the writer would not write
+        # them for the table the file's header and read columns give.
         lines = estimate_csv.read_text().splitlines()
-        lines[line] = text
+        lines[line] = text(lines[line]) if callable(text) else text
         estimate_csv.write_text("\n".join(lines) + "\n")
         argv = ["report", "--estimate", str(estimate_csv),
                 "-o", str(tmp_path / "merged.csv")]
@@ -616,7 +635,7 @@ class TestMalformedInput:
         "row",
         [
             "12,3.0", "0,0,0,1,1,1,4", "13,3,3,1,1,1,4", "12,3,3,1,1,1,4",
-            "11,nan,3,1,1,1,4",
+            "11,nan,3,1,1,12,4",
         ],
         ids=["short_row", "K_zero", "K_above_N", "duplicate_K", "nan_alpha"],
     )
@@ -642,6 +661,23 @@ class TestMalformedInput:
         argv = ["report", "--estimate", str(estimate_csv), "--oracle",
                 str(oracle), "-o", str(tmp_path / "merged.csv")]
         self.assert_refused(argv, oracle, capsys)
+
+    def test_oracle_csv_of_another_N_refused(self, tmp_path, capsys):
+        # The 5x20 orbit's exact bounds at K=15..20 against the 5x40
+        # orbit's estimate: same M, K in range, but no bounds of that
+        # frame.  Each row examined C(20, K) subsets, not C(40, K).
+        f20, f40 = tmp_path / "f20.txt", tmp_path / "f40.txt"
+        oracle, est = tmp_path / "o20.csv", tmp_path / "b40.csv"
+        main(["gen-frame", "-M", "5", "-k", "2", "-o", str(f20)])
+        main(["gen-frame", "-M", "5", "-k", "3", "-o", str(f40)])
+        assert main(["oracle", "-f", str(f20), "--k-min", "15",
+                     "-o", str(oracle)]) == EXIT_OK
+        assert main(["estimate", "-f", str(f40), "--eps-sq", "0.25",
+                     "-o", str(est)]) == EXIT_OK
+        argv = ["report", "--estimate", str(est), "--oracle", str(oracle),
+                "-o", str(tmp_path / "merged.csv")]
+        err = self.assert_refused(argv, oracle, capsys)
+        assert "not C(40, 15)" in err
 
 
 def _subcommands():
