@@ -34,7 +34,6 @@ _SORT_BYTES = 256 * 2**10  # per worker's sort scratch, sized for L2
 _GATHER_BYTES = 64 * 2**10
 _NO_RANK = np.iinfo(np.int64).max  # rank of a column no batch has set
 _PROGRESS_EVERY = 100_000  # net points between progress lines
-_CSV_COLUMNS = "K,alpha_eps,beta_eps,alpha_lower,beta_upper,trivial_lower,trivial_upper"
 
 __all__ = [
     "BoundsTable",
@@ -343,26 +342,48 @@ def condition_number_bound(table: BoundsTable, K: int) -> Optional[float]:
     return float(table.beta_upper[K - 1] / lower)
 
 
+def _first_outside(table: BoundsTable, K, alpha, beta) -> Optional[int]:
+    """The first of the ascending ``K`` whose ``alpha`` leaves [alpha_lower,
+    alpha_eps] or whose ``beta`` leaves [beta_eps, beta_upper] by more than
+    1e-9, the eigensolver's noise, or None: what a certificate must hold."""
+    i, tol = K - 1, 1e-9
+    inside = ((table.alpha_lower[i] <= alpha + tol) & (alpha <= table.alpha_eps[i] + tol)
+              & (table.beta_eps[i] <= beta + tol) & (beta <= table.beta_upper[i] + tol))
+    out = np.flatnonzero(~inside)
+    return int(K[out[0]]) if out.size else None
+
+
 def require_sandwich(table: BoundsTable, exact: dict) -> None:
     """Raise InvariantViolationError at the first K whose exact bounds
-    ``exact[K] = (alpha_K, beta_K)`` leave [alpha_lower, alpha_eps] or
-    [beta_eps, beta_upper] by more than 1e-9, the eigensolver's noise.  A K
-    outside 1..N is refused with InvalidInputError."""
-    tol, beta_eps = 1e-9, table.beta_eps
-    for k, (a, b) in sorted(exact.items()):
+    ``exact[K] = (alpha_K, beta_K)`` leave the table's certificate
+    (:func:`_first_outside`).  A K outside 1..N is refused with
+    InvalidInputError."""
+    for k in exact:
         if not 1 <= k <= table.N:
             raise InvalidInputError(f"K={k} out of range 1..{table.N}")
-        lo, ae = table.alpha_lower[k - 1], table.alpha_eps[k - 1]
-        be, up = beta_eps[k - 1], table.beta_upper[k - 1]
-        if not (lo <= a + tol and a <= ae + tol and be <= b + tol and b <= up + tol):
-            raise InvariantViolationError(
-                f"sandwich violated at K={k}: alpha in [{lo}, {ae}] vs {a}; "
-                f"beta in [{be}, {up}] vs {b}"
-            )
+    K = np.array(sorted(exact), dtype=np.int64)
+    k = _first_outside(table, K, *np.reshape([exact[k] for k in K], (-1, 2)).T)
+    if k is not None:
+        (a, b), i = exact[k], k - 1
+        raise InvariantViolationError(
+            f"sandwich violated at K={k}: alpha in [{table.alpha_lower[i]}, "
+            f"{table.alpha_eps[i]}] vs {a}; beta in [{table.beta_eps[i]}, "
+            f"{table.beta_upper[i]}] vs {b}"
+        )
+
+
+def _csv_header(table: BoundsTable) -> str:
+    """The JSON header line and the column line that the writer writes for
+    ``table``, without the last newline."""
+    config = table.config
+    meta = dict(M=config.M, N=table.N, epsilon_sq=config.epsilon_sq, L=config.L,
+                delta=config.delta, net_points_used=table.net_points_used)
+    return ("# " + json.dumps(meta) + "\nK,alpha_eps,beta_eps,alpha_lower,"
+            "beta_upper,trivial_lower,trivial_upper")
 
 
 def _csv_body(table: BoundsTable) -> np.ndarray:
-    """The N x 7 cells of :data:`_CSV_COLUMNS` that the writer writes."""
+    """The N x 7 cells that the writer writes under :func:`_csv_header`."""
     N, nm = table.N, table.N / table.config.M
     k = np.arange(1, N + 1)
     return np.column_stack((k, table.alpha_eps, table.beta_eps, table.alpha_lower,
@@ -370,62 +391,44 @@ def _csv_body(table: BoundsTable) -> np.ndarray:
 
 
 def write_bounds_csv(table: BoundsTable, path) -> None:
-    """Certified bounds CSV: one JSON header line with exactly the keys
-    :func:`read_bounds_csv` requires, the column names, then one row per K.
+    """Certified bounds CSV: the lines of :func:`_csv_header`, then one row
+    of :func:`_csv_body` per K, each cell as %.17g: the lines that
+    :func:`read_bounds_csv` holds a file to.
 
     Timing is deliberately left to the JSON run report so identical
     configurations produce byte-identical CSVs.
     """
-    config = table.config
-    header = {
-        "M": config.M,
-        "N": table.N,
-        "epsilon_sq": config.epsilon_sq,
-        "L": config.L,
-        "delta": config.delta,
-        "net_points_used": table.net_points_used,
-    }
-    np.savetxt(
-        path, _csv_body(table), fmt="%.17g", delimiter=",", comments="",
-        header="# " + json.dumps(header) + "\n" + _CSV_COLUMNS,
-    )
+    np.savetxt(path, _csv_body(table), fmt="%.17g", delimiter=",", comments="",
+               header=_csv_header(table))
 
 
 def read_bounds_csv(path) -> BoundsTable:
     """Read a CSV written by :func:`write_bounds_csv` into a certified
-    table.  The header must give integers N and net_points_used >= 1, an
-    M, epsilon_sq and L that make a NetConfig, and that config's delta;
-    other keys are ignored.  The table is that config's, with the file's
-    alpha_eps, alpha_lower and beta_upper columns; every cell must be
-    finite, and the column names and every row must be those the writer
-    writes for that table, so a K, beta_eps or trivial cell of its own is
-    refused.  Witness ranks are not in the CSV and read as 0, argmax_r
-    too."""
+    table, held to that writer's rule.  The table is that of the NetConfig
+    of the header's M, epsilon_sq and L, with the header's net_points_used
+    (an integer >= 1) and the file's alpha_eps, alpha_lower and beta_upper
+    columns; the body must be exactly the header's N lines, none blank, of
+    7 finite cells.  Then the header and column lines must be
+    :func:`_csv_header`'s byte for byte, every row :func:`_csv_body`'s cell
+    for cell, and every K's endpoints must hold its estimates
+    (:func:`_first_outside`).  Witness ranks are not in the CSV and read
+    as 0, argmax_r too."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
-            first, columns = fh.readline(), fh.readline().rstrip("\n")
-            rows = [line for line in fh if line.strip()]
-        if not first.startswith("# "):
-            raise ValueError("missing JSON header line")
+            first, columns, *rows = fh.readlines()
         meta = json.loads(first[2:])
         for key in ("N", "net_points_used"):
             if type(meta[key]) is not int or meta[key] < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {meta[key]!r}")
         config = NetConfig(meta["M"], meta["epsilon_sq"], meta["L"])
-        if meta["delta"] != config.delta:
-            raise ValueError(f"delta {meta['delta']!r} is not delta_for(M, L)")
-        if columns != _CSV_COLUMNS:
-            raise ValueError(f"column names {columns!r} are not {_CSV_COLUMNS!r}")
-        n = meta["N"]
-        cols = (
-            np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
-            if rows
-            else np.empty((0, 7))
-        )
+        if len(rows) != meta["N"] or not all(map(str.strip, rows)):
+            raise ValueError(f"the body must be N={meta['N']} lines, none blank")
+        cols = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInputError(
             f"{path}: malformed bounds CSV ({type(exc).__name__}: {exc})"
         ) from None
+    n = len(rows)
     if cols.shape != (n, 7):
         raise InvalidInputError(
             f"{path}: expected {n} rows of 7 values, found shape {cols.shape}"
@@ -437,9 +440,14 @@ def read_bounds_csv(path) -> BoundsTable:
         config, cols[:, 1], np.zeros(n, dtype=np.int64), meta["net_points_used"],
         alpha_lower=cols[:, 3], beta_upper=cols[:, 4],
     )
+    if first + columns != _csv_header(table) + "\n":
+        raise InvalidInputError(f"{path}: header lines are not those its writer writes")
     bad = np.flatnonzero((cols != _csv_body(table)).any(axis=1))
     if bad.size:
         raise InvalidInputError(
             f"{path}: row {bad[0] + 1} of the body is not the row its writer writes"
         )
+    k = _first_outside(table, np.arange(1, n + 1), table.alpha_eps, table.beta_eps)
+    if k is not None:
+        raise InvalidInputError(f"{path}: endpoints leave their estimates at K={k}")
     return table

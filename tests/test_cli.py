@@ -41,13 +41,19 @@ def _header(**edits):
     return "# " + json.dumps({k: v for k, v in meta.items() if v is not None})
 
 
-def _moved(column, by):
-    """An edit of a bounds-CSV row: the cell in ``column`` plus ``by``."""
+def _with_cell(column, value):
+    """An edit of a bounds-CSV row: the cell in ``column`` set to
+    ``value(cells)``, the row's cells read as floats."""
     def edit(row):
         cells = row.split(",")
-        cells[column] = repr(float(cells[column]) + by)
+        cells[column] = repr(value([float(cell) for cell in cells]))
         return ",".join(cells)
     return edit
+
+
+def _moved(column, by):
+    """An edit of a bounds-CSV row: the cell in ``column`` plus ``by``."""
+    return _with_cell(column, lambda cells: cells[column] + by)
 
 
 @pytest.fixture()
@@ -195,6 +201,22 @@ class TestEstimate:
             assert code == EXIT_OK
             out[threads] = csv.read_bytes()
         assert out["1"] == out["8"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("M, k, eps_sq, digest", [
+        ("5", "3", "0.25",
+         "515c3dfdff4e6e9dcd9b0bd617b7b4146a030290c191c3951885c7e59f5a5323"),
+        ("10", "5", "0.45",
+         "842a15c2a70605dca627732a2017f7d633b7af6eae024e5926df11acab7ad479"),
+    ])
+    def test_csv_bytes_pinned(self, tmp_path, M, k, eps_sq, digest, threads):
+        # The 5x40 and 10x4032 orbits: the bytes do not depend on the
+        # thread count, and no change of the sweep or the writer moves one.
+        frame, csv = tmp_path / "frame.txt", tmp_path / "bounds.csv"
+        assert main(["gen-frame", "-M", M, "-k", k, "-o", str(frame)]) == EXIT_OK
+        assert main(["estimate", "-f", str(frame), "--eps-sq", eps_sq,
+                     "--threads", threads, "-o", str(csv)]) == EXIT_OK
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
     def test_threads_above_16_per_cpu_refused(
         self, frame_file, tmp_path, monkeypatch, capsys
@@ -553,6 +575,39 @@ class TestMalformedInput:
         }[command]
         err = self.assert_refused(argv, estimate_csv, capsys)
         assert "L is below min_levels" in err
+
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    @pytest.mark.parametrize(
+        "line, edit, named",
+        [
+            (2, _with_cell(3, lambda cells: 2.5), "K=1"),
+            (3, _with_cell(4, lambda cells: cells[2] - 0.5), "K=2"),
+            (4, lambda row: row + "\n\n", None),
+            (0, lambda row: _header(cap_mode="untf"), None),
+        ],
+        ids=["alpha_lower_above_alpha_eps", "beta_upper_below_beta_eps",
+             "blank_lines_after_K3", "extra_header_key"],
+    )
+    def test_csv_its_writer_would_not_write_refused(
+        self, frame_file, estimate_csv, tmp_path, capsys, command, line, edit,
+        named,
+    ):
+        # Each file parses, and each of its rows is the one the writer
+        # writes for the endpoints it holds; but the writer never writes an
+        # endpoint past its estimate (the first such K is named), a blank
+        # line or a header key of its own.
+        lines = estimate_csv.read_text().splitlines()
+        lines[line] = edit(lines[line])
+        estimate_csv.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "oracle": ["oracle", "-f", str(frame_file), "--k-min", "12",
+                       "--check", str(estimate_csv), "-o", out],
+            "report": ["report", "--estimate", str(estimate_csv), "-o", out],
+        }[command]
+        err = self.assert_refused(argv, estimate_csv, capsys)
+        if named:
+            assert err.endswith(f"leave their estimates at {named}\n")
 
     @pytest.mark.parametrize(
         "row", ["1,nan,0,-1.5,0,-8,3", "1,0,-inf,-1.5,0,-8,3"],
