@@ -11,7 +11,6 @@ Run:  python demos/certify_4_12.py
 from nerfcert import (
     GeneratorSpec,
     NetConfig,
-    certify,
     exact_bounds_all_K,
     min_spanning_K,
     orbit_signed_permutations,
@@ -37,7 +36,7 @@ def main():
           f"{pruned_cardinality(config)} of {config.cardinality} "
           "step points survive pruning")
 
-    table = certify(sweep_all_K(frame, config))
+    table = sweep_all_K(frame, config)
     exact = exact_bounds_all_K(frame)
 
     print(f"\nmin spanning K: {min_spanning_K(table)} "

@@ -25,7 +25,6 @@ import time
 from nerfcert import (
     GeneratorSpec,
     NetConfig,
-    certify,
     min_spanning_K,
     orbit_signed_permutations,
     require_certifiable,
@@ -41,7 +40,7 @@ def main():
           f"{config.cardinality} step points before pruning")
 
     t0 = time.perf_counter()
-    table = certify(sweep_all_K(frame, config, threads=0, progress=True))
+    table = sweep_all_K(frame, config, threads=0, progress=True)
     print(f"sweep of {table.net_points_used} pruned points took "
           f"{time.perf_counter() - t0:.0f} s")
 

@@ -15,7 +15,6 @@ import time
 from nerfcert import (
     GeneratorSpec,
     NetConfig,
-    certify,
     condition_number_bound,
     min_spanning_K,
     orbit_signed_permutations,
@@ -32,7 +31,7 @@ def main():
           f"{config.cardinality} step points before pruning")
 
     t0 = time.perf_counter()
-    table = certify(sweep_all_K(frame, config, threads=0, progress=True))
+    table = sweep_all_K(frame, config, threads=0, progress=True)
     print(f"sweep of {table.net_points_used} pruned points took "
           f"{time.perf_counter() - t0:.1f} s")
 

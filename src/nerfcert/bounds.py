@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -50,16 +50,19 @@ __all__ = [
 
 @dataclass
 class BoundsTable:
-    """Per-K estimates, witnesses and certified endpoints, indexed K = 1..N
-    at position K-1, for the frame's N columns and the net ``config``.
-    N, beta_eps and argmax_r are derived, the last two by duality."""
+    """Per-K estimates and witnesses, indexed K = 1..N at position K-1, for
+    the frame's N columns and the net ``config``: N, beta_eps and argmax_r
+    are derived, and the certified endpoints are set by :func:`certify`."""
 
     config: NetConfig
     alpha_eps: np.ndarray
     argmin_r: np.ndarray  # net point rank attaining alpha_eps[K]
     net_points_used: int
-    alpha_lower: np.ndarray
-    beta_upper: np.ndarray
+    alpha_lower: np.ndarray = field(init=False)
+    beta_upper: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        certify(self)
 
     @property
     def N(self) -> int:
@@ -209,8 +212,8 @@ def sweep_all_K(
     threads: int = 1,
     progress: bool = False,
 ) -> BoundsTable:
-    """One pass over the net filling alpha_eps, whose table derives
-    beta_eps by duality, and the paper's endpoints (:func:`certify`).
+    """One pass over the net filling alpha_eps and its witnesses, whose
+    table derives beta_eps by duality and the endpoints (:func:`certify`).
 
     The caller is responsible for the frame being signed-permutation
     invariant and unit-norm (frames.require_certifiable checks); only then
@@ -296,14 +299,13 @@ def sweep_all_K(
         raise InvariantViolationError("net is empty; nothing to sweep")
     if np.any(argmin == _NO_RANK):
         raise InvariantViolationError("sweep left a bound with no witness")
-    # The endpoints are left to certify, which reads beta_eps off the table.
-    return certify(BoundsTable(config, alpha, argmin, done, None, None))
+    return BoundsTable(config, alpha, argmin, done)
 
 
 def certify(table: BoundsTable) -> BoundsTable:
-    """Set the certified endpoints, as every table sweep_all_K returns has
-    them, by the paper's formulas for a unit norm tight frame (its tables
-    use them):
+    """Set the certified endpoints, as every BoundsTable does when it is
+    built, by the paper's formulas for a unit norm tight frame (its tables
+    use them); calling it again on a table changes nothing:
 
         alpha_lower[K] = (alpha_eps[K] - eps^2 * N/M) / (1 - eps^2)
         beta_upper[K]  = min(N/M, beta_eps[K] / (1 - eps^2))
@@ -405,14 +407,14 @@ def write_bounds_csv(table: BoundsTable, path) -> None:
 def read_bounds_csv(path) -> BoundsTable:
     """Read a CSV written by :func:`write_bounds_csv` into a certified
     table, held to that writer's rule.  The table is that of the NetConfig
-    of the header's M, epsilon_sq and L, with the header's net_points_used
-    (an integer >= 1) and the file's alpha_eps, alpha_lower and beta_upper
-    columns; the body must be exactly the header's N lines, none blank, of
-    7 finite cells.  Then the header and column lines must be
-    :func:`_csv_header`'s byte for byte, every row :func:`_csv_body`'s cell
-    for cell, and every K's endpoints must hold its estimates
-    (:func:`_first_outside`).  Witness ranks are not in the CSV and read
-    as 0, argmax_r too."""
+    of the header's M, epsilon_sq and L, the header's net_points_used (an
+    integer >= 1) and the file's alpha_eps, whose endpoints :func:`certify`
+    sets; the body must be exactly the header's N lines, none blank, of 7
+    finite cells.  Then the header and column lines must be _csv_header's
+    byte for byte, every row _csv_body's cell for cell (endpoints too), and
+    every K's endpoints must hold its estimates (:func:`_first_outside`),
+    which an alpha_eps outside [0, N/M] breaks.  Witness ranks are not in
+    the CSV and read as 0, argmax_r too."""
     try:
         with open(path) as fh:  # bytes not UTF-8 raise a ValueError too
             first, columns, *rows = fh.readlines()
@@ -436,10 +438,8 @@ def read_bounds_csv(path) -> BoundsTable:
     bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
     if bad.size:
         raise InvalidInputError(f"{path}: non-finite cell at K={bad[0] + 1}")
-    table = BoundsTable(
-        config, cols[:, 1], np.zeros(n, dtype=np.int64), meta["net_points_used"],
-        alpha_lower=cols[:, 3], beta_upper=cols[:, 4],
-    )
+    table = BoundsTable(config, cols[:, 1], np.zeros(n, dtype=np.int64),
+                        meta["net_points_used"])
     if first + columns != _csv_header(table) + "\n":
         raise InvalidInputError(f"{path}: header lines are not those its writer writes")
     bad = np.flatnonzero((cols != _csv_body(table)).any(axis=1))

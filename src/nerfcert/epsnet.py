@@ -187,6 +187,8 @@ def quantize_step(x: np.ndarray, config: NetConfig) -> StepPoint:
     at or below delta^(L-1) map to the bottom level.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("input has non-finite entries")
     if x.shape != (config.M,):
         raise InvalidInputError(f"expected a vector of length {config.M}")
     if np.any(x < 0) or np.any(np.diff(x) < 0):

@@ -194,6 +194,8 @@ def canonicalize(x: np.ndarray) -> np.ndarray:
     nonnegative nondecreasing entries.  Norm is preserved.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("input has non-finite entries")
     if not np.any(x):
         raise InvalidInputError("cannot canonicalize the zero vector")
     return np.sort(np.abs(x))

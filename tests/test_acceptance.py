@@ -23,7 +23,6 @@ from nerfcert import (
     GeneratorSpec,
     NetConfig,
     canonicalize,
-    certify,
     condition_number_bound,
     exact_bounds_all_K,
     min_levels,
@@ -91,9 +90,7 @@ def frame_4_12():
 
 
 def _certified_table(frame, eps_sq, threads=4):
-    table = sweep_all_K(frame, NetConfig.create(frame.M, eps_sq),
-                        threads=threads)
-    return certify(table)
+    return sweep_all_K(frame, NetConfig.create(frame.M, eps_sq), threads=threads)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +171,7 @@ def test_criterion_5_m6_run():
     config = NetConfig.create(6, 0.25)
     assert config.L == 21
     assert config.cardinality == 230230
-    table = certify(sweep_all_K(frame, config, threads=4))
+    table = sweep_all_K(frame, config, threads=4)
     assert min_spanning_K(table) == 61
     tail = table.alpha_lower[60:80]
     assert np.max(np.abs(tail - np.array(ALPHA_LOWER_6_80_TAIL))) <= 1e-2
@@ -200,7 +197,7 @@ def test_criterion_6_m8_run():
     config = NetConfig.create(8, 0.25)
     assert config.L == 22
     assert config.cardinality == 4292145
-    table = certify(sweep_all_K(frame, config, threads=8))
+    table = sweep_all_K(frame, config, threads=8)
     assert min_spanning_K(table) == 399
     # The reference value 1.17 is the certified lower bound at K=404,
     # which caps the frame operator condition number there by 60.

@@ -1,5 +1,6 @@
 """Net sweep, certification algebra, and the bounds CSV format."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -529,19 +530,19 @@ class TestSweep:
 
 class TestCertify:
     def test_sandwich_shape(self, frame_4_12):
-        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
+        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
         assert np.all(table.alpha_lower <= table.alpha_eps + 1e-12)
         assert np.all(table.beta_eps <= table.beta_upper + 1e-12)
 
     def test_beta_upper_capped_by_redundancy(self, frame_4_12):
-        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
+        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
         assert np.all(table.beta_upper <= 3.0 + 1e-12)
 
     @pytest.mark.parametrize("M, k, eps_sq", [(4, 2, 0.5), (5, 2, 0.25)])
     def test_swept_table_is_certified(self, M, k, eps_sq, tmp_path):
-        # The sweep returns the paper's endpoints, bitwise, without a call
-        # to certify; every consumer takes the table, and certify
-        # recomputes the same bits.
+        # The swept table holds the paper's endpoints, bitwise, set when it
+        # was built; every consumer takes the table, and certify recomputes
+        # the same bits.
         frame = orbit_signed_permutations(GeneratorSpec(M, k))
         table = sweep_all_K(frame, NetConfig.create(M, eps_sq))
         nm, scale = table.N / M, 1.0 / (1.0 - eps_sq)
@@ -575,7 +576,7 @@ class DualityChecks:
         return exact_bounds_all_K(frame, k_min=k_min)
 
     def test_sandwich(self, frame, exact, k_min, eps_sq):
-        table = certify(sweep_all_K(frame, NetConfig.create(frame.M, eps_sq)))
+        table = sweep_all_K(frame, NetConfig.create(frame.M, eps_sq))
         assert [res.K for res in exact] == list(range(k_min, table.N + 1))
         for res in exact:
             i = res.K - 1
@@ -679,7 +680,7 @@ class TestRequireSandwich:
 
     @pytest.fixture(scope="class")
     def table(self, oracle_5_20):
-        return certify(sweep_all_K(oracle_5_20[0], NetConfig.create(5, 0.25)))
+        return sweep_all_K(oracle_5_20[0], NetConfig.create(5, 0.25))
 
     @pytest.fixture(scope="class")
     def exact(self, oracle_5_20):
@@ -714,9 +715,10 @@ class TestRequireSandwich:
                 field, index = endpoint, K - 1
                 if endpoint == "beta_eps":
                     field, index, target = "alpha_eps", n - K - 1, nm - target
-                moved = dataclasses.replace(
-                    table, **{field: getattr(table, field).copy()}
-                )
+                # A shallow copy keeps the other fields: the endpoints are
+                # set from alpha_eps only when a table is built.
+                moved = copy.copy(table)
+                setattr(moved, field, getattr(table, field).copy())
                 getattr(moved, field)[index] = target
                 assert getattr(moved, endpoint)[K - 1] == pytest.approx(
                     exact[K][side] + sign * shift, abs=1e-14
@@ -739,7 +741,7 @@ class TestRequireSandwich:
 
 class TestDerivedQuantities:
     def test_min_spanning_and_condition(self, frame_4_12):
-        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
+        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
         k = min_spanning_K(table)
         assert k == 10
         cond = condition_number_bound(table, k)
@@ -821,7 +823,7 @@ class TestThreads:
 
 class TestCsv:
     def test_round_trip(self, frame_4_12, tmp_path):
-        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
+        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
         path = tmp_path / "bounds.csv"
         write_bounds_csv(table, path)
         back = read_bounds_csv(path)
@@ -835,11 +837,14 @@ class TestCsv:
 
     def test_each_fact_is_stored_once(self):
         # The net's parameters live in the table's NetConfig, N is the
-        # arrays' length, and beta_eps and argmax_r are derived from
-        # alpha_eps and argmin_r by duality.
-        names = [f.name for f in dataclasses.fields(bounds.BoundsTable)]
-        assert names == ["config", "alpha_eps", "argmin_r", "net_points_used",
-                         "alpha_lower", "beta_upper"]
+        # arrays' length, beta_eps and argmax_r are derived from alpha_eps
+        # and argmin_r by duality, and the endpoints are set from the
+        # estimates when the table is built: a caller sets four values.
+        fields = dataclasses.fields(bounds.BoundsTable)
+        assert [f.name for f in fields if f.init] == [
+            "config", "alpha_eps", "argmin_r", "net_points_used"]
+        assert [f.name for f in fields if not f.init] == [
+            "alpha_lower", "beta_upper"]
         for name in ("N", "beta_eps", "argmax_r"):
             assert isinstance(getattr(bounds.BoundsTable, name), property)
 
@@ -847,10 +852,7 @@ class TestCsv:
         # A hand-built table, no sweep: the format alone sets the bytes.
         cells = np.array([-0.0, 5e-324, 1 / 3, 0.1, 1e300])
         N, M, ranks = 5, 2, np.zeros(5, int)
-        table = bounds.BoundsTable(
-            NetConfig(M, 0.25, 16), cells, ranks, 7,
-            alpha_lower=-cells, beta_upper=3 * cells,
-        )
+        table = bounds.BoundsTable(NetConfig(M, 0.25, 16), cells, ranks, 7)
         path = tmp_path / "bounds.csv"
         write_bounds_csv(table, path)
         header = {"M": 2, "N": 5, "epsilon_sq": 0.25, "L": 16,
@@ -877,7 +879,7 @@ class TestCsv:
         # table derives, or a key the writer never writes (the cap_mode of
         # CSVs written before cap modes were removed) leaves a header line
         # the writer would not write.
-        table = certify(sweep_all_K(frame_4_12, NetConfig.create(4, 0.5)))
+        table = sweep_all_K(frame_4_12, NetConfig.create(4, 0.5))
         path = tmp_path / "bounds.csv"
         write_bounds_csv(table, path)
         read_bounds_csv(path)

@@ -218,6 +218,29 @@ class TestEstimate:
                      "--threads", threads, "-o", str(csv)]) == EXIT_OK
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == digest
 
+    def test_reading_path_bytes_pinned(self, tmp_path, capsys):
+        # The 5x40 orbit at eps^2 1/4: what oracle --check and report write
+        # from the bounds CSV they read, to a file and to stdout.  No change
+        # of the reader or of the table it builds moves one byte.
+        frame, csv = tmp_path / "frame.txt", tmp_path / "bounds.csv"
+        oracle, merged = tmp_path / "oracle.csv", tmp_path / "merged.csv"
+        assert main(["gen-frame", "-M", "5", "-k", "3", "-o", str(frame)]) == EXIT_OK
+        assert main(["estimate", "-f", str(frame), "--eps-sq", "0.25",
+                     "-o", str(csv)]) == EXIT_OK
+        assert main(["oracle", "-f", str(frame), "--k-min", "36", "--k-max", "40",
+                     "--check", str(csv), "-o", str(oracle)]) == EXIT_OK
+        assert main(["report", "--estimate", str(csv), "--oracle", str(oracle),
+                     "-o", str(merged)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--estimate", str(csv)]) == EXIT_OK
+        outputs = (oracle.read_bytes(), merged.read_bytes(),
+                   capsys.readouterr().out.encode())
+        assert [hashlib.sha256(out).hexdigest() for out in outputs] == [
+            "837d6a4eaff7f6e7d81f66423529807006a21ebee55a899bbe71967445cebb4d",
+            "92faff7939982fb9190d4448883db7ed3111899b99f4d401737f424796409c4f",
+            "da599a683cb5b1db7ce1d058bce37ab2513919968cc5318bc5e0f53598294043",
+        ]
+
     def test_threads_above_16_per_cpu_refused(
         self, frame_file, tmp_path, monkeypatch, capsys
     ):
@@ -578,24 +601,36 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("command", ["oracle", "report"])
     @pytest.mark.parametrize(
-        "line, edit, named",
+        "line, edit, message",
         [
-            (2, _with_cell(3, lambda cells: 2.5), "K=1"),
-            (3, _with_cell(4, lambda cells: cells[2] - 0.5), "K=2"),
-            (4, lambda row: row + "\n\n", None),
-            (0, lambda row: _header(cap_mode="untf"), None),
+            (2, _with_cell(3, lambda cells: 2.5),
+             "row 1 of the body is not the row its writer writes"),
+            (3, _with_cell(4, lambda cells: cells[2] - 0.5),
+             "row 2 of the body is not the row its writer writes"),
+            (8, _with_cell(3, lambda cells: cells[1]),
+             "row 7 of the body is not the row its writer writes"),
+            (2, _with_cell(4, lambda cells: cells[2]),
+             "row 1 of the body is not the row its writer writes"),
+            (4, lambda row: row + "\n\n",
+             "the body must be N=12 lines, none blank"),
+            (0, lambda row: _header(cap_mode="untf"),
+             "header lines are not those its writer writes"),
         ],
         ids=["alpha_lower_above_alpha_eps", "beta_upper_below_beta_eps",
+             "alpha_lower_at_K7_set_to_alpha_eps",
+             "beta_upper_at_K1_set_to_beta_eps",
              "blank_lines_after_K3", "extra_header_key"],
     )
     def test_csv_its_writer_would_not_write_refused(
         self, frame_file, estimate_csv, tmp_path, capsys, command, line, edit,
-        named,
+        message,
     ):
-        # Each file parses, and each of its rows is the one the writer
-        # writes for the endpoints it holds; but the writer never writes an
-        # endpoint past its estimate (the first such K is named), a blank
-        # line or a header key of its own.
+        # Each file parses, but the writer never writes an endpoint other
+        # than the paper's for its row's estimates, a blank line or a header
+        # key of its own.  The K=7 and K=1 forgeries keep each endpoint
+        # within its estimate, so only the row rule refuses them: the
+        # forged alpha_lower of 0.38211 at K=7, where the net certifies
+        # -2.2358, lies above the exact alpha_7 = (3 - 5^0.5)/2 = 0.381966.
         lines = estimate_csv.read_text().splitlines()
         lines[line] = edit(lines[line])
         estimate_csv.write_text("\n".join(lines) + "\n")
@@ -606,8 +641,31 @@ class TestMalformedInput:
             "report": ["report", "--estimate", str(estimate_csv), "-o", out],
         }[command]
         err = self.assert_refused(argv, estimate_csv, capsys)
-        if named:
-            assert err.endswith(f"leave their estimates at {named}\n")
+        assert message in err
+
+    @pytest.mark.parametrize("command", ["oracle", "report"])
+    def test_estimate_above_N_over_M_refused(
+        self, frame_file, estimate_csv, tmp_path, capsys, command
+    ):
+        # A file its writer would write, every endpoint the paper's for its
+        # row: but alpha_eps at K=3 above N/M = 3 puts alpha_lower above it
+        # (and beta_upper at K=9 below beta_eps), which no net gives.
+        table = bounds.read_bounds_csv(estimate_csv)
+        alpha = table.alpha_eps.copy()
+        alpha[2] = 3.5
+        bounds.write_bounds_csv(
+            bounds.BoundsTable(table.config, alpha, table.argmin_r,
+                               table.net_points_used),
+            estimate_csv,
+        )
+        out = str(tmp_path / "out.csv")
+        argv = {
+            "oracle": ["oracle", "-f", str(frame_file), "--k-min", "12",
+                       "--check", str(estimate_csv), "-o", out],
+            "report": ["report", "--estimate", str(estimate_csv), "-o", out],
+        }[command]
+        err = self.assert_refused(argv, estimate_csv, capsys)
+        assert err.endswith("leave their estimates at K=3\n")
 
     @pytest.mark.parametrize(
         "row", ["1,nan,0,-1.5,0,-8,3", "1,0,-inf,-1.5,0,-8,3"],

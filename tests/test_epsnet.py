@@ -250,6 +250,16 @@ class TestQuantize:
         with pytest.raises(InvalidInputError):
             quantize_step(np.array([0.1, 0.2, 0.3, 0.4]), config)
 
+    @pytest.mark.parametrize("x", [
+        [np.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, np.inf], [-np.inf, 0.5, 0.5, 0.5],
+    ], ids=["nan", "inf", "neg_inf"])
+    def test_rejects_non_finite(self, x):
+        # A NaN fails every comparison, so it passes the order and norm
+        # checks unless it is refused first, by name.
+        config = NetConfig.create(4, 0.5)
+        with pytest.raises(InvalidInputError, match="non-finite entries"):
+            quantize_step(np.array(x), config)
+
 
 class TestPruneCheck:
     def test_all_top_level_passes_norm(self):

@@ -166,6 +166,13 @@ class TestCanonicalize:
         with pytest.raises(InvalidInputError):
             canonicalize(np.zeros(4))
 
+    @pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [0.0, -np.inf]],
+                             ids=["nan", "inf", "neg_inf"])
+    def test_rejects_non_finite(self, x):
+        # Sorting would put a NaN last and return it as an orbit point.
+        with pytest.raises(InvalidInputError, match="non-finite entries"):
+            canonicalize(np.array(x))
+
 
 class TestFrameIO:
     def test_round_trip(self, tmp_path):
