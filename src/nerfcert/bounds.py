@@ -89,6 +89,8 @@ def sorted_squared_correlations(
     values for psi, as its product of a two-row block computes them, so a
     witness row given in walker order reproduces its bound bitwise."""
     psi = np.asarray(psi, dtype=float)
+    if not np.all(np.isfinite(psi)):
+        raise InvalidInputError("psi has non-finite entries")
     if psi.shape != (frame.M,):
         raise InvalidInputError(
             f"psi has shape {psi.shape}, expected ({frame.M},)"

@@ -6,10 +6,10 @@ A net point is a nondecreasing step function on {1,..,M} with values in
 levels make the rounded-up quantization of any sector point land within
 chordal distance epsilon, once L satisfies the level-count inequality of
 :func:`min_levels`.  The net is the compositions of M into L nonnegative
-parts (stars and bars) that pass two necessary pruning conditions every
-rounded-up quantization obeys.  Its one representation is the rows of
-ascending level exponents that :func:`_level_arrays` walks; the sweep
-scores them and :class:`StepPoint` wraps one.
+parts (stars and bars) whose cell, the box lo < x <= hi of the points
+that round up onto them, meets the unit sphere.  Its one representation
+is the rows of ascending level exponents that :func:`_level_arrays`
+walks; the sweep scores them and :class:`StepPoint` wraps one.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from .errors import InvalidInputError
 
 LEVEL_SEARCH_CAP = 10**6
 
-# Conservative slack for branch-and-bound cuts; boundary-adjacent leaves
-# are re-evaluated with exactly rounded sums (math.fsum).
+# Conservative slack for the walker's cuts on ||hi||^2 and ||lo||^2; rows
+# this close to either boundary take the exact box test (math.fsum).
 _BB_MARGIN = 1e-12
 # Children per frontier slice: bounds the walk's memory (0.25 MiB traced,
 # under 0.3 MiB, for the 503,486 points of M=8 at eps^2 1/4).
@@ -127,6 +127,15 @@ class NetConfig:
         powers.flags.writeable = False
         return powers
 
+    @cached_property
+    def _cell_corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-level cell corners hi = P[:-1] and lo = P[1:], P = level_powers
+        and 0: an entry rounded up to level l lies in lo[l] < x <= hi[l] (or
+        is 0 at the bottom level).  Squared, they are the cells' masses."""
+        P = np.append(self.level_powers, 0.0)
+        P.flags.writeable = False
+        return P[:-1], P[1:]
+
     @property
     def cardinality(self) -> int:
         return net_cardinality(self.M, self.L)
@@ -208,34 +217,27 @@ def _quantize_levels(X: np.ndarray, config: NetConfig) -> np.ndarray:
 
 
 def prune_check(step: StepPoint, config: NetConfig) -> bool:
-    """Necessary conditions on rounded-up quantizations.
-
-    With psi_hat(m) = delta^level(m) before normalization:
-    ||psi_hat||^2 >= 1 and delta^2 * sum of psi_hat(m)^2 over entries
-    above the bottom level <= 1.  Comparisons use exactly rounded sums
-    with no tolerance slack; boundary points are kept.
-    """
-    return _leaf_passes(step.levels, config)
+    """Whether the cell of ``step.levels`` meets the unit sphere, ||hi||^2
+    >= 1 >= ||lo||^2 by exactly rounded sums, as every quantization's does."""
+    return _meets_sphere(step.levels, config)
 
 
-def _leaf_passes(levels, config: NetConfig) -> bool:
-    """Canonical prune test for one level tuple (any order)."""
-    sq = config.level_powers**2
-    norm_sq = fsum(sq[l] for l in levels)
-    top_sq = fsum(sq[l] for l in levels if l < config.L - 1)
-    return norm_sq >= 1.0 and config.delta * config.delta * top_sq <= 1.0
+def _meets_sphere(levels, config: NetConfig) -> bool:
+    hi, lo = config._cell_corners
+    hi, lo = hi.tolist(), lo.tolist()  # x * x is numpy's x**2, bit for bit
+    return (fsum(hi[l] * hi[l] for l in levels) >= 1.0
+            >= fsum(lo[l] * lo[l] for l in levels))
 
 
-def _leaf_mask(levels: np.ndarray, s, top, config: NetConfig) -> np.ndarray:
-    """:func:`_leaf_passes` on rows of levels with masses s and top masses
-    summed in any order: rounding cannot decide, since rows within
-    _BB_MARGIN of either boundary are re-checked with exact sums."""
-    dsq = config.delta * config.delta
-    keep = (s >= 1.0) & (dsq * top <= 1.0)
-    near = np.abs(s - 1.0) <= _BB_MARGIN
-    near |= np.abs(dsq * top - 1.0) <= _BB_MARGIN
+def _cells_meet_sphere(levels: np.ndarray, hi_sq, lo_sq, config: NetConfig):
+    """:func:`prune_check` on rows of levels with masses ||hi||^2 and
+    ||lo||^2 summed in any order: rows within _BB_MARGIN of either boundary
+    take the exact test, so rounding cannot decide."""
+    keep = (hi_sq >= 1.0) & (lo_sq <= 1.0)
+    near = np.abs(hi_sq - 1.0) <= _BB_MARGIN
+    near |= np.abs(lo_sq - 1.0) <= _BB_MARGIN
     for i in np.flatnonzero(near).tolist():
-        keep[i] = _leaf_passes(levels[i].tolist(), config)
+        keep[i] = _meets_sphere(levels[i].tolist(), config)
     return keep
 
 
@@ -244,10 +246,10 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
     rows of integer arrays.
 
     A frontier of prefixes grows one entry at a time, children in level
-    order after their parent.  The walk is a branch-and-bound: a node
-    dies once its top-level mass exceeds the cap, its children stop where
-    even all t remaining entries at that level cannot reach unit mass, and
-    leaves pass :func:`_leaf_mask`.
+    order after their parent.  The walk is a branch-and-bound on the cell
+    box test: a node dies once its ||lo||^2 exceeds 1, its children stop
+    where even all t remaining entries at that level cannot bring ||hi||^2
+    to 1, and leaves pass :func:`_cells_meet_sphere`.
     Masses are summed in prefix order, the floats of a per-point walk.
     Frontiers are cut into slices of about _SLICE_NODES children, walked
     depth first from a stack, so memory stays bounded: under 0.3 MiB for
@@ -256,35 +258,31 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
     """
     M, L = config.M, config.L
     dtype = np.int16 if L <= np.iinfo(np.int16).max else np.int32
-    sq = config.level_powers**2
-    sq_top = np.append(sq[:-1], 0.0)  # the bottom level adds no top mass
-    dsq = config.delta * config.delta
-    # Each entry: prefixes, their last levels, masses s, top masses and,
-    # for a slice of a frontier already counted, its children counts.
-    # Levels and counts keep the level dtype: no count exceeds L.
-    root = np.empty((1, 0), dtype), np.zeros(1, dtype), np.zeros(1), np.zeros(1)
-    stack = [(*root, None)]
+    hi_sq, lo_sq = (corner**2 for corner in config._cell_corners)
+    # Each entry: prefixes, their masses ||hi||^2 and ||lo||^2 and, for a
+    # slice of a frontier already counted, its children counts.  Levels
+    # and counts keep the level dtype: no count exceeds L.
+    stack = [(np.empty((1, 0), dtype), np.zeros(1), np.zeros(1), None)]
     while stack:
-        prefix, lmin, s, top, counts = stack.pop()
+        prefix, s, lo, counts = stack.pop()
         t = M - prefix.shape[1]
         if t == 0:
-            prefix = prefix[_leaf_mask(prefix, s, top, config)]
+            prefix = prefix[_cells_meet_sphere(prefix, s, lo, config)]
             if len(prefix):
                 yield prefix
             continue
+        lmin = prefix[:, -1] if t < M else np.zeros(1, dtype)
         if counts is None:
-            # Levels below k reach s + t*sq >= 1 - margin; -t*sq ascends as delta < 1.
-            k = np.searchsorted(-t * sq, s - (1.0 - _BB_MARGIN), side="right")
+            # Below level k, s + t*hi_sq >= 1 - margin; -t*hi_sq ascends as delta < 1.
+            k = np.searchsorted(-t * hi_sq, s - (1.0 - _BB_MARGIN), side="right")
             counts = np.maximum(k - lmin, 0, dtype=dtype)
-            counts[top > 1.0 / dsq + _BB_MARGIN] = 0  # dead nodes have none
+            counts[lo > 1.0 + _BB_MARGIN] = 0  # dead nodes have none
             first = np.cumsum(counts) - counts
             cuts = np.flatnonzero(np.diff(first // _SLICE_NODES)) + 1
             if len(cuts):  # push the slices so that the first is walked first
                 edges = [0, *cuts.tolist(), len(counts)]
                 for a, b in reversed(list(zip(edges, edges[1:]))):
-                    stack.append(
-                        (prefix[a:b], lmin[a:b], s[a:b], top[a:b], counts[a:b])
-                    )
+                    stack.append((prefix[a:b], s[a:b], lo[a:b], counts[a:b]))
                 continue
         else:
             first = np.cumsum(counts) - counts
@@ -293,8 +291,8 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
         level += lmin[parent]
         child = np.empty((len(parent), M - t + 1), dtype)
         child[:, :-1], child[:, -1] = prefix[parent], level
-        s, top = s[parent] + sq[level], top[parent] + sq_top[level]
-        stack.append((child, child[:, -1], s, top, None))
+        s, lo = s[parent] + hi_sq[level], lo[parent] + lo_sq[level]
+        stack.append((child, s, lo, None))
 
 
 def pruned_cardinality(config: NetConfig) -> int:
@@ -331,8 +329,8 @@ def verify_covering(
     """Monte-Carlo check of the covering guarantee.
 
     Samples uniform sphere points, folds them into the sector, quantizes,
-    and verifies <x, psi_x> >= sqrt(1 - eps^2) and that each quantization
-    passes the prune conditions.  ``trials`` must be at least 1.
+    and verifies <x, psi_x> >= sqrt(1 - eps^2) and that the cell of each
+    quantization passes the box test.  ``trials`` must be at least 1.
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be at least 1, got {trials}")
@@ -347,9 +345,8 @@ def verify_covering(
     threshold = math.sqrt(1.0 - config.epsilon_sq)
     failures = int(np.sum(inner < threshold))
 
-    sq_rows = config.level_powers[levels] ** 2
-    top = np.where(levels < config.L - 1, sq_rows, 0.0).sum(axis=1)
-    keep = _leaf_mask(levels, sq_rows.sum(axis=1), top, config)
+    hi_sq, lo_sq = (np.sum(c[levels] ** 2, axis=1) for c in config._cell_corners)
+    keep = _cells_meet_sphere(levels, hi_sq, lo_sq, config)
     prune_failures = int(np.sum(~keep))
 
     return CoveringReport(

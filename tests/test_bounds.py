@@ -106,6 +106,14 @@ class TestSortedCorrelations:
         with pytest.raises(InvalidInputError):
             sorted_squared_correlations(frame_4_12, np.ones(3))
 
+    @pytest.mark.parametrize("psi", [
+        [np.nan, 0.5, 0.5, 0.5], [0.5, 0.5, 0.5, np.inf], [-np.inf, 0.5, 0.5, 0.5],
+    ], ids=["nan", "inf", "neg_inf"])
+    def test_rejects_non_finite(self, frame_4_12, psi):
+        # A NaN entry would make every correlation NaN, with no error.
+        with pytest.raises(InvalidInputError, match="non-finite entries"):
+            sorted_squared_correlations(frame_4_12, np.array(psi))
+
 
 class TestSweep:
     def test_bounds_are_monotone_in_K(self, table_4_12):
