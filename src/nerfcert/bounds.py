@@ -187,16 +187,15 @@ def _net_psi_chunks(config: NetConfig, rows: int):
     """Yield (psi_rows, first_rank) batches of exactly ``rows`` points cut
     from the walker's stream: a block's short tail is carried into the
     next block, so only the last batch may be shorter."""
-    offset, tail = 0, None
+    offset, tail = 0, np.empty((0, config.M), np.int16)
     for levels in _level_arrays(config):
-        if tail is not None:
-            levels = np.concatenate((tail, levels))
+        levels = np.concatenate((tail, levels))
         cut = len(levels) - len(levels) % rows
         for start in range(0, cut, rows):
             batch = levels[start : start + rows]
             yield _psi_from_levels(batch, config), offset + start
         offset, tail = offset + cut, levels[cut:]
-    if tail is not None and len(tail):
+    if len(tail):
         yield _psi_from_levels(tail, config), offset
 
 

@@ -48,11 +48,10 @@ __all__ = [
 
 
 def min_levels(M: int, epsilon_sq: float) -> int:
-    """Smallest L >= 2 with (L-1)(1-eps^2)^L <= (1/M)((L-1)/L)^L.
-
-    epsilon_sq is the squared net radius (the tables of interest are
-    indexed by eps^2).  Scans linearly from L = 2; raises
-    InvalidInputError past the hard cap.
+    """Smallest L >= 2 with (L-1)(1-eps^2)^L <= (1/M)((L-1)/L)^L and
+    M(L-1) >= 2 (so delta < 1: L >= 3 at M = 1), eps^2 the squared net
+    radius.  Scans linearly from L = 2; raises InvalidInputError past the
+    hard cap.
     """
     if M < 1:
         raise InvalidInputError(f"M must be positive, got {M}")
@@ -67,8 +66,9 @@ def min_levels(M: int, epsilon_sq: float) -> int:
 
 
 def _levels_cover(M: int, epsilon_sq: float, L: int) -> bool:
-    """:func:`min_levels`' inequality at L; true from min_levels(M, eps^2) on."""
-    return (L - 1) * (1.0 - epsilon_sq) ** L <= ((L - 1) / L) ** L / M
+    """:func:`min_levels`' rule at L; true from min_levels(M, eps^2) on."""
+    covers = (L - 1) * (1.0 - epsilon_sq) ** L <= ((L - 1) / L) ** L / M
+    return covers and M * (L - 1) >= 2
 
 
 def delta_for(M: int, L: int) -> float:
@@ -93,9 +93,9 @@ def net_cardinality(M: int, L: int) -> int:
 @dataclass(frozen=True)
 class NetConfig:
     """Step-function net parameters, valid by construction: InvalidInputError
-    unless M >= 1 and L >= 2 are ints, 0 < epsilon_sq < 1, delta_for(M, L)
-    < 1 and L passes :func:`min_levels`' inequality, so the net covers the
-    sector at radius eps.  ``level_powers`` caches delta^l for l < L so the
+    unless M >= 1 and L >= 2 are ints, 0 < epsilon_sq < 1 and L passes
+    :func:`min_levels`' rule, so delta < 1 and the net covers the sector
+    at radius eps.  ``level_powers`` caches delta^l for l < L so the
     enumeration hot loop never calls transcendentals.
     """
 
@@ -109,7 +109,6 @@ class NetConfig:
             raise InvalidInputError(f"need integers M >= 1 and L >= 2, got {self}")
         if not (isinstance(eps_sq, (int, float)) and 0 < eps_sq < 1):
             raise InvalidInputError(f"epsilon_sq must lie in (0,1), got {eps_sq!r}")
-        delta_for(M, L)  # refuses M(L-1) = 1, where delta would be 1
         if not _levels_cover(M, eps_sq, L):
             raise InvalidInputError(f"{self}: L is below min_levels(M, epsilon_sq)")
 
@@ -277,15 +276,14 @@ def _level_arrays(config: NetConfig) -> Iterator[np.ndarray]:
             k = np.searchsorted(-t * hi_sq, s - (1.0 - _BB_MARGIN), side="right")
             counts = np.maximum(k - lmin, 0, dtype=dtype)
             counts[lo > 1.0 + _BB_MARGIN] = 0  # dead nodes have none
-            first = np.cumsum(counts) - counts
+        # Offsets ascend from 0, and a carried slice's stay below _SLICE_NODES.
+        first = np.cumsum(counts) - counts
+        if len(first) and first[-1] >= _SLICE_NODES:
             cuts = np.flatnonzero(np.diff(first // _SLICE_NODES)) + 1
-            if len(cuts):  # push the slices so that the first is walked first
-                edges = [0, *cuts.tolist(), len(counts)]
-                for a, b in reversed(list(zip(edges, edges[1:]))):
-                    stack.append((prefix[a:b], s[a:b], lo[a:b], counts[a:b]))
-                continue
-        else:
-            first = np.cumsum(counts) - counts
+            edges = [0, *cuts.tolist(), len(counts)]
+            for a, b in reversed(list(zip(edges, edges[1:]))):  # first on top
+                stack.append((prefix[a:b], s[a:b], lo[a:b], counts[a:b]))
+            continue
         parent = np.repeat(np.arange(len(counts)), counts)
         level = np.arange(len(parent)) - first[parent]
         level += lmin[parent]

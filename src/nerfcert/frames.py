@@ -107,12 +107,18 @@ def orbit_signed_permutations(spec: GeneratorSpec) -> FrameMatrix:
     Columns are emitted with support sets in lexicographic order; within a
     support, the entry at the smallest index is forced positive and the
     remaining k-1 signs run in binary order (0 bit = +).  The column count
-    is spec.orbit_size = 2^(k-1) * C(M, k).
+    is spec.orbit_size = 2^(k-1) * C(M, k); an orbit numpy cannot hold is
+    refused before its supports are listed.
     """
+    # phi[m, c, s]: entry m of the column on support c with sign row s.
+    try:
+        phi = np.zeros((spec.M, math.comb(spec.M, spec.k), 2 ** (spec.k - 1)))
+    except (MemoryError, ValueError):
+        raise InvalidInputError(
+            f"the orbit of {spec.orbit_size} columns is too large to allocate"
+        ) from None
     supports = np.array(list(combinations(range(spec.M), spec.k)))
     signs = np.array([(1, *s) for s in product((1, -1), repeat=spec.k - 1)])
-    # phi[m, c, s]: entry m of the column on support c with sign row s.
-    phi = np.zeros((spec.M, len(supports), len(signs)))
     phi[supports, np.arange(len(supports))[:, None]] = (
         signs * spec.generator()[: spec.k]
     ).T

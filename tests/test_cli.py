@@ -111,6 +111,18 @@ class TestGenFrame:
         assert code == EXIT_USAGE_IO
         assert "error" in capsys.readouterr().err
 
+    def test_orbit_too_large_refused_before_any_work(self, tmp_path, capsys):
+        # C(40, 20) * 2^19 columns: numpy refuses the size on any 64-bit
+        # build, before the 1.4e11 supports would be listed.
+        path = tmp_path / "big.txt"
+        code = main(["gen-frame", "-M", "40", "-k", "20", "-o", str(path)])
+        assert code == EXIT_USAGE_IO
+        assert not path.exists()
+        assert capsys.readouterr().err == (
+            "error: the orbit of 72271280901980160 columns is too large"
+            " to allocate\n"
+        )
+
 
 class TestBuildNet:
     def test_json_payload(self, tmp_path):
@@ -201,6 +213,16 @@ class TestEstimate:
             assert code == EXIT_OK
             out[threads] = csv.read_bytes()
         assert out["1"] == out["8"]
+
+    def test_one_dimensional_frame_at_half(self, tmp_path, capsys):
+        # The smallest frame: its net needs L = 3, as L = 2 gives delta = 1.
+        frame, csv = tmp_path / "f1.txt", tmp_path / "b1.csv"
+        assert main(["gen-frame", "-M", "1", "-k", "1", "-o", str(frame)]) == EXIT_OK
+        assert main(["estimate", "-f", str(frame), "--eps-sq", "0.5",
+                     "-o", str(csv)]) == EXIT_OK
+        header, columns, *rows = csv.read_text().splitlines()
+        assert '"L": 3' in header
+        assert rows == ["1,1,1,1,1,1,1"]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("M, k, eps_sq, digest", [

@@ -111,12 +111,19 @@ class TestNetConfig:
         with pytest.raises(InvalidInputError):
             NetConfig(M, eps_sq, L)
 
-    @pytest.mark.parametrize("M", [2, 3, 4, 6, 10])
+    @pytest.mark.parametrize("eps_sq", [0.5, 0.7, 0.9])
+    def test_one_dimension_starts_at_three_levels(self, eps_sq):
+        # L = 2 passes the inequality here, but M(L-1) = 1 gives delta = 1.
+        assert min_levels(1, eps_sq) == 3
+        config = NetConfig.create(1, eps_sq)
+        assert config.L == 3 and config.delta < 1
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 6, 10])
     @pytest.mark.parametrize("eps_sq", [0.5, 0.25, 0.05])
     def test_admissible_levels_are_a_ray(self, M, eps_sq):
         L = min_levels(M, eps_sq)
         if L > 2:
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError, match="below min_levels"):
                 NetConfig(M, eps_sq, L - 1)
         for extra in range(50):
             assert NetConfig(M, eps_sq, L + extra).L == L + extra

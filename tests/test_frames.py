@@ -10,6 +10,7 @@ from nerfcert import (
     FrameMatrix,
     GeneratorSpec,
     canonicalize,
+    frames,
     orbit_signed_permutations,
     read_frame,
     verify_group_invariance,
@@ -61,6 +62,18 @@ class TestGeneratorSpec:
 
 
 class TestOrbit:
+    def test_unallocatable_orbit_refused_first(self, monkeypatch):
+        def no_memory(shape, *args, **kwargs):
+            raise MemoryError(f"Unable to allocate an array of shape {shape}")
+
+        def unreachable(*args):
+            raise AssertionError("supports listed before the allocation")
+
+        monkeypatch.setattr(frames.np, "zeros", no_memory)
+        monkeypatch.setattr(frames, "combinations", unreachable)
+        with pytest.raises(InvalidInputError, match="orbit of 12 columns"):
+            orbit_signed_permutations(GeneratorSpec(4, 2))
+
     def test_matches_reference_4_12(self):
         frame = orbit_signed_permutations(GeneratorSpec(4, 2))
         assert frame.matrix.shape == (4, 12)
